@@ -30,7 +30,7 @@ scorer = make_scorer("kernel_pooling", table=table, n_d=16)
 
 print("== training ==")
 result = train(scorer, train_set, val_set, docs,
-               TrainConfig(batch_size=256, max_epochs=4, n_d=16), log=print)
+               TrainConfig(batch_size=256, max_epochs=4), log=print)
 print(f"kept epoch {result.best_epoch} (val error {result.best_val_error:.4f})\n")
 
 vocab = build_vocabulary(list(docs.values()))

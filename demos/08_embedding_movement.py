@@ -26,7 +26,7 @@ before = unit_normalize(train_skipgram([s.doc_tokens() for s in catalog],
 # an aggressive learning rate so the movement is visible at demo scale
 scorer = make_scorer("kernel_pooling", table=before, n_d=16)
 train(scorer, triples[:cut], triples[cut:], docs,
-      TrainConfig(lr=1e-3, batch_size=128, max_epochs=6, n_d=16))
+      TrainConfig(lr=1e-3, batch_size=128, max_epochs=6))
 after = scorer.embedding_table()
 
 report = moved_word_pairs(before, after)

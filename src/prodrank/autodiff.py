@@ -16,21 +16,13 @@ gradient check.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 LOG_FLOOR = 1e-10
-
-_checked = False
-
-
-def set_checked(on: bool) -> None:
-    """Toggle checked mode: reject NaN/Inf values at tensor construction."""
-    global _checked
-    _checked = bool(on)
-
 
 class ShapeError(ValueError):
     """Input shapes violate a primitive's shape rule."""
@@ -51,8 +43,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        if _checked and not np.all(np.isfinite(self.data)):
-            raise ValueError("tensor contains NaN or Inf (checked mode)")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -182,18 +172,6 @@ def mul(a, b) -> Tensor:
         (a, _unbroadcast(g * b.data, a.data.shape)),
         (b, _unbroadcast(g * a.data, b.data.shape)),
     ))
-
-
-def col_broadcast_mul(a: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a length-m vector across the columns of an m-by-n matrix
-    and multiply elementwise."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(
-            "col_broadcast_mul",
-            f"need vector (m,) and matrix (m, n), got {a.data.shape} and {b.data.shape}",
-        )
-    return mul(reshape(a, (a.data.shape[0], 1)), b)
 
 
 def tanh(x) -> Tensor:
@@ -466,23 +444,33 @@ def save_checkpoint(path, descriptor: str, tensors: dict[str, np.ndarray]) -> No
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
-    """Read a checkpoint back; returns (descriptor, name -> array)."""
+    """Read a checkpoint back; returns (descriptor, name -> array).
+
+    A file cut short anywhere raises ``ValueError``.
+    """
     with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # checked before reading, so a corrupt length never allocates
+            if f.tell() + n > end:
+                raise ValueError(f"{path}: checkpoint is truncated")
+            return f.read(n)
+
+        def u32() -> int:
+            return struct.unpack("<I", read(4))[0]
+
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = u32()
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (dlen,) = struct.unpack("<I", f.read(4))
-        descriptor = f.read(dlen).decode("utf-8")
-        (count,) = struct.unpack("<I", f.read(4))
+        descriptor = read(u32()).decode("utf-8")
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(8 * size), dtype="<f8").reshape(shape)
+        for _ in range(u32()):
+            name = read(u32()).decode("utf-8")
+            ndim = u32()
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
             tensors[name] = data.astype(np.float64)
         return descriptor, tensors

@@ -27,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                         help="override one config key (repeatable)")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap (stages currently run single-threaded)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

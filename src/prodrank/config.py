@@ -93,11 +93,10 @@ class RunConfig:
             raise ValueError(f"bad truncations list: '{self.truncations}'")
         return grid
 
-    def train_config(self, *, n_d: int | None = None, frozen: bool | None = None) -> TrainConfig:
+    def train_config(self, *, frozen: bool | None = None) -> TrainConfig:
         return TrainConfig(
             lr=self.lr, batch_size=self.batch_size, max_epochs=self.max_epochs,
             patience=self.patience, lr_decay=self.lr_decay, min_lr=self.min_lr,
-            n_d=self.n_d if n_d is None else n_d,
             frozen=self.frozen if frozen is None else frozen,
             seed=self.seed,
         )

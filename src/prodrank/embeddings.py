@@ -174,6 +174,9 @@ def train_skipgram(
     w_out = np.zeros((len(tokens), dim))
     noise = counts**0.75
     cum = np.cumsum(noise / noise.sum())
+    # rounding can leave the sum below 1; draws lie in [0, 1), so an exact
+    # 1 here clamps every searchsorted index to the last token
+    cum[-1] = 1.0
 
     total = max(1, epochs * sum(len(row) for row in encoded))
     step = 0

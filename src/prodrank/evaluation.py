@@ -16,7 +16,8 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .extraction import TrainingTriple
 from .models import Scorer, default_kernel_bank
-from .text import Tokens, normalize
+from .text import Tokens, normalize  # noqa: F401  (bench/tracing.py wraps it here)
+from .training import evaluate_triples
 
 
 @dataclass
@@ -39,18 +40,11 @@ def pairwise_error_rate(
     baseline: "ErrorRateReport | float | None" = None,
 ) -> ErrorRateReport:
     """Fraction of triples where the clicked item fails to outscore the
-    passed-over one.  Ties count as errors: the scorer failed to order
-    the pair.  Without a baseline the report is normalized to itself, so
-    the baseline's own report reads exactly 100.00."""
-    if not triples:
-        raise ValueError("cannot evaluate on an empty triple list")
-    q_cache = {q: normalize(q) for q in {t.query for t in triples}}
-    errors = 0
-    for t in triples:
-        q = q_cache[t.query]
-        if scorer.score(q, doc_tokens[t.rel_sku]) <= scorer.score(q, doc_tokens[t.irrel_sku]):
-            errors += 1
-    rate = errors / len(triples)
+    passed-over one, as counted by ``training.evaluate_triples``: ties and
+    NaN scores are errors.  Without a baseline the report is normalized to
+    itself, so the baseline's own report reads exactly 100.00."""
+    _, rate = evaluate_triples(scorer, triples, doc_tokens)
+    errors = round(rate * len(triples))
     if baseline is None:
         base_rate = rate
     elif isinstance(baseline, ErrorRateReport):

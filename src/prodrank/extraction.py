@@ -39,9 +39,6 @@ class TrainingTriple:
     rel_rank: int = 0
     irrel_rank: int = 0
 
-    def key(self) -> tuple:
-        return (self.query, self.rel_sku, self.irrel_sku)
-
 
 @dataclass
 class SplitSpec:

@@ -13,6 +13,7 @@ vectors (cosines once the table is unit-normalized).
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,8 +23,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .embeddings import EmbeddingTable, LocalEmbedding, embed_sequence
 from .text import Vocabulary
-
-ARCHITECTURES = ("tfidf", "kernel_pooling", "siamese", "dssm_like", "hybrid_local")
 
 
 @dataclass
@@ -142,11 +141,25 @@ class TfIdfScorer(Scorer):
 class _EmbeddingScorer(Scorer):
     """Shared machinery for scorers built on the embedding table."""
 
+    # (descriptor key, attribute) pairs in descriptor order.  Each
+    # attribute is also a constructor keyword, except ``dim`` and
+    # ``n_kernels``, which the table and the kernel bank fix.
+    FIELDS: tuple[tuple[str, str], ...] = ()
+
     def __init__(self, table: EmbeddingTable):
         self.table = table
         self.embedding = Tensor(
             table.vectors.copy(), requires_grad=table.trainable, name="embedding"
         )
+
+    @property
+    def dim(self) -> int:
+        return self.table.dim
+
+    def descriptor(self) -> str:
+        """``arch:key=value,...`` with one integer per entry of ``FIELDS``."""
+        values = ",".join(f"{key}={int(getattr(self, attr))}" for key, attr in self.FIELDS)
+        return f"{self.architecture}:{values}"
 
     def embedding_table(self) -> EmbeddingTable:
         """Current (possibly trained) vectors as a fresh table."""
@@ -165,6 +178,8 @@ class KernelPoolingScorer(_EmbeddingScorer):
     """Kernel-pooled soft term frequencies fed to a one-layer head."""
 
     architecture = "kernel_pooling"
+    FIELDS = (("K", "n_kernels"), ("dim", "dim"), ("Nq", "n_q"), ("Nd", "n_d"),
+              ("linear", "linear"))
 
     def __init__(
         self,
@@ -179,12 +194,16 @@ class KernelPoolingScorer(_EmbeddingScorer):
         self.bank = bank if bank is not None else default_kernel_bank()
         self.n_q = n_q
         self.n_d = n_d
-        self.linear = linear
+        self.linear = bool(linear)
         k = len(self.bank)
         # single linear map over kernel features: no symmetry to break, so
         # start at zero and let the first gradient step pick the signs
         self.w = Tensor(np.zeros((1, k)), requires_grad=True, name="head_w")
         self.b = Tensor(np.zeros((1, 1)), requires_grad=True, name="head_b")
+
+    @property
+    def n_kernels(self) -> int:
+        return len(self.bank)
 
     def parameters(self) -> list[Tensor]:
         return [self.embedding, self.w, self.b]
@@ -196,18 +215,13 @@ class KernelPoolingScorer(_EmbeddingScorer):
         h = self._mlp_layer(self.w, self.b, ad.reshape(phi, (len(self.bank), 1)), final=self.linear)
         return ad.reshape(h, ())
 
-    def descriptor(self) -> str:
-        return (
-            f"kernel_pooling:K={len(self.bank)},dim={self.table.dim},"
-            f"Nq={self.n_q},Nd={self.n_d},linear={int(self.linear)}"
-        )
-
 
 class SiameseScorer(_EmbeddingScorer):
     """Convolutional encoder shared by both sides; score is the dot
     product of the two encodings, so document vectors can be precomputed."""
 
     architecture = "siamese"
+    FIELDS = (("dim", "dim"), ("Nd", "n_d"), ("C", "channels"), ("V", "out_dim"), ("w", "width"))
 
     def __init__(
         self,
@@ -257,17 +271,12 @@ class SiameseScorer(_EmbeddingScorer):
     def score_cached(self, q_vector: np.ndarray, d_vector: np.ndarray) -> float:
         return float(q_vector @ d_vector)
 
-    def descriptor(self) -> str:
-        return (
-            f"siamese:dim={self.table.dim},Nd={self.n_d},C={self.channels},"
-            f"V={self.out_dim},w={self.width}"
-        )
-
 
 class DssmScorer(_EmbeddingScorer):
     """Sum the token vectors, then a three-layer tanh mlp; dot-product score."""
 
     architecture = "dssm_like"
+    FIELDS = (("dim", "dim"), ("Nd", "n_d"), ("h", "hidden"), ("V", "out_dim"))
 
     def __init__(
         self,
@@ -317,17 +326,13 @@ class DssmScorer(_EmbeddingScorer):
     def score_cached(self, q_vector: np.ndarray, d_vector: np.ndarray) -> float:
         return float(q_vector @ d_vector)
 
-    def descriptor(self) -> str:
-        return (
-            f"dssm_like:dim={self.table.dim},Nd={self.n_d},h={self.hidden},V={self.out_dim}"
-        )
-
 
 class HybridLocalScorer(_EmbeddingScorer):
     """Convolution over the interaction matrix itself, pooled and fed to a
     one-layer head: a local-interaction model with a learned composition."""
 
     architecture = "hybrid_local"
+    FIELDS = (("dim", "dim"), ("Nq", "n_q"), ("Nd", "n_d"), ("C", "channels"), ("w", "width"))
 
     def __init__(
         self,
@@ -368,52 +373,24 @@ class HybridLocalScorer(_EmbeddingScorer):
         out = ad.tanh(ad.add(ad.matmul(self.w, pooled), self.b))
         return ad.reshape(out, ())
 
-    def descriptor(self) -> str:
-        return (
-            f"hybrid_local:dim={self.table.dim},Nq={self.n_q},Nd={self.n_d},"
-            f"C={self.channels},w={self.width}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers with architecture checks
-# ---------------------------------------------------------------------------
-
-
-def _require(scorer: Scorer, *architectures: str) -> None:
-    if scorer.architecture not in architectures:
-        raise ValueError(
-            f"architecture mismatch: need {' or '.join(architectures)}, got {scorer.architecture}"
-        )
-
-
-def tfidf_score(q_tokens: list[str], d_tokens: list[str], vocab: Vocabulary) -> float:
-    return TfIdfScorer(vocab).score(q_tokens, d_tokens)
-
-
-def kernel_pooling_score(q_tokens, d_tokens, scorer: Scorer) -> float:
-    _require(scorer, "kernel_pooling")
-    return scorer.score(q_tokens, d_tokens)
-
 
 def distributed_encode(tokens, scorer: Scorer) -> np.ndarray:
-    _require(scorer, "siamese", "dssm_like")
+    """A distributed scorer's cacheable encoding of one token list."""
+    if scorer.architecture not in ("siamese", "dssm_like"):
+        raise ValueError(
+            f"architecture mismatch: need siamese or dssm_like, got {scorer.architecture}"
+        )
     return scorer.encode(tokens)
-
-
-def distributed_score(q_tokens, d_tokens, scorer: Scorer) -> float:
-    _require(scorer, "siamese", "dssm_like")
-    return scorer.score(q_tokens, d_tokens)
-
-
-def hybrid_local_score(q_tokens, d_tokens, scorer: Scorer) -> float:
-    _require(scorer, "hybrid_local")
-    return scorer.score(q_tokens, d_tokens)
 
 
 # ---------------------------------------------------------------------------
 # Construction and persistence
 # ---------------------------------------------------------------------------
+
+CLASSES: dict[str, type[_EmbeddingScorer]] = {
+    cls.architecture: cls
+    for cls in (KernelPoolingScorer, SiameseScorer, DssmScorer, HybridLocalScorer)
+}
 
 
 def make_scorer(architecture: str, table: EmbeddingTable | None = None,
@@ -429,79 +406,72 @@ def make_scorer(architecture: str, table: EmbeddingTable | None = None,
         return TfIdfScorer(vocab)
     if table is None:
         raise ValueError(f"{architecture} scorer requires an embedding table")
-    classes = {
-        "kernel_pooling": KernelPoolingScorer,
-        "siamese": SiameseScorer,
-        "dssm_like": DssmScorer,
-        "hybrid_local": HybridLocalScorer,
-    }
-    if architecture not in classes:
+    if architecture not in CLASSES:
         raise ValueError(
-            f"unknown architecture {architecture!r}; expected one of {', '.join(ARCHITECTURES)}"
+            f"unknown architecture {architecture!r}; "
+            f"expected one of {', '.join(['tfidf', *CLASSES])}"
         )
-    return classes[architecture](table, **kwargs)
+    return CLASSES[architecture](table, **kwargs)
+
+
+def _vocab_hash(tokens: list[str]) -> str:
+    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()[:16]
 
 
 def save_scorer(scorer: Scorer, path) -> None:
     """Checkpoint a trainable scorer: descriptor plus named weight tensors.
 
     The embedding matrix is stored in the checkpoint; the token list is
-    not, so loading requires an embedding table with the same vocabulary.
+    not, only its hash in the descriptor's ``vocab`` field, so loading
+    requires an embedding table with the same tokens in the same order.
     """
     if not isinstance(scorer, _EmbeddingScorer):
         raise ValueError(f"cannot checkpoint architecture {scorer.architecture!r}")
     tensors = {p.name: p.data for p in scorer.parameters()}
-    if scorer.architecture == "kernel_pooling":
+    if isinstance(scorer, KernelPoolingScorer):
         tensors["kernel_means"] = scorer.bank.means
         tensors["kernel_widths"] = scorer.bank.widths
-    ad.save_checkpoint(path, scorer.descriptor(), tensors)
+    descriptor = f"{scorer.descriptor()},vocab={_vocab_hash(scorer.table.tokens)}"
+    ad.save_checkpoint(path, descriptor, tensors)
 
 
-def _parse_descriptor(descriptor: str) -> tuple[str, dict[str, int]]:
-    arch, _, rest = descriptor.partition(":")
-    fields: dict[str, int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            fields[key] = int(value)
-    return arch, fields
-
-
-def load_scorer(path, table: EmbeddingTable, expect: str | None = None) -> Scorer:
+def load_scorer(path, table: EmbeddingTable) -> Scorer:
     """Rebuild a checkpointed scorer against a token table.
 
-    The table supplies the vocabulary; the checkpoint's trained embedding
-    matrix replaces the table's vectors and must match its shape.
+    The table supplies the vocabulary and must be the one the checkpoint
+    was saved with; the checkpoint's trained embedding matrix replaces
+    the table's vectors.
     """
     descriptor, tensors = ad.load_checkpoint(path)
-    arch, fields = _parse_descriptor(descriptor)
-    if expect is not None and arch != expect:
-        raise ValueError(f"architecture mismatch: checkpoint holds {arch!r}, expected {expect!r}")
-    if fields.get("dim", table.dim) != table.dim:
+    arch, _, rest = descriptor.partition(":")
+    if arch not in CLASSES:
+        raise ValueError(f"unknown architecture {arch!r} in checkpoint {path}")
+    cls = CLASSES[arch]
+    try:
+        fields = dict(item.split("=", 1) for item in rest.split(","))
+        kwargs = {attr: int(fields[key]) for key, attr in cls.FIELDS}
+        vocab = fields["vocab"]
+    except (KeyError, ValueError):
+        raise ValueError(f"checkpoint {path} has a malformed descriptor {descriptor!r}") from None
+    if kwargs.pop("dim") != table.dim:
         raise ValueError(
             f"embedding dimension mismatch: checkpoint {fields['dim']}, table {table.dim}"
         )
-    if arch == "kernel_pooling":
-        bank = KernelBank(tensors["kernel_means"], tensors["kernel_widths"])
-        scorer: _EmbeddingScorer = KernelPoolingScorer(
-            table, bank=bank, n_q=fields["Nq"], n_d=fields["Nd"], linear=bool(fields["linear"])
-        )
-    elif arch == "siamese":
-        scorer = SiameseScorer(
-            table, n_d=fields["Nd"], out_dim=fields["V"], channels=fields["C"], width=fields["w"]
-        )
-    elif arch == "dssm_like":
-        scorer = DssmScorer(table, n_d=fields["Nd"], hidden=fields["h"], out_dim=fields["V"])
-    elif arch == "hybrid_local":
-        scorer = HybridLocalScorer(
-            table, n_q=fields["Nq"], n_d=fields["Nd"], channels=fields["C"], width=fields["w"]
-        )
-    else:
-        raise ValueError(f"unknown architecture {arch!r} in checkpoint {path}")
+    if vocab != _vocab_hash(table.tokens):
+        raise ValueError(f"vocabulary mismatch: checkpoint {path} was saved with other tokens")
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ValueError(f"checkpoint {path} is missing tensor {name!r}")
+        return tensors[name]
+
+    if cls is KernelPoolingScorer:
+        kwargs["bank"] = KernelBank(tensor("kernel_means"), tensor("kernel_widths"))
+        if kwargs.pop("n_kernels") != len(kwargs["bank"]):
+            raise ValueError(f"checkpoint {path}: K disagrees with its kernel bank")
+    scorer = cls(table, **kwargs)
     for p in scorer.parameters():
-        if p.name not in tensors:
-            raise ValueError(f"checkpoint {path} is missing tensor {p.name!r}")
-        if tensors[p.name].shape != p.data.shape:
+        if tensor(p.name).shape != p.data.shape:
             raise ValueError(
                 f"checkpoint tensor {p.name!r} has shape {tensors[p.name].shape}, "
                 f"expected {p.data.shape}"

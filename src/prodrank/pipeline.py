@@ -88,12 +88,12 @@ def run_pretrain(cfg: RunConfig, catalog_path, vectors_path, log=None) -> None:
 
 
 def _scorer_kwargs(cfg: RunConfig, n_d: int) -> dict:
-    return {
-        "kernel_pooling": dict(n_q=cfg.n_q, n_d=n_d, linear=cfg.linear),
-        "siamese": dict(n_d=n_d, seed=cfg.seed),
-        "dssm_like": dict(seed=cfg.seed),
-        "hybrid_local": dict(n_q=cfg.n_q, n_d=n_d, seed=cfg.seed),
-    }.get(cfg.architecture, {})
+    kwargs = dict(n_d=n_d, seed=cfg.seed)
+    if cfg.architecture in ("kernel_pooling", "hybrid_local"):
+        kwargs["n_q"] = cfg.n_q
+    if cfg.architecture == "kernel_pooling":
+        kwargs["linear"] = cfg.linear
+    return kwargs
 
 
 def run_train(cfg: RunConfig, train_path, val_path, catalog_path, vectors_path,
@@ -108,7 +108,7 @@ def run_train(cfg: RunConfig, train_path, val_path, catalog_path, vectors_path,
     table = load_vectors(vectors_path)
     scorer = make_scorer(cfg.architecture, table=table, **_scorer_kwargs(cfg, n_d))
     result = train(scorer, train_triples, val_triples, docs,
-                   cfg.train_config(n_d=n_d, frozen=frozen), log=log)
+                   cfg.train_config(frozen=frozen), log=log)
     save_scorer(scorer, checkpoint_path)
     if tuned_vectors_path is not None:
         save_vectors(scorer.embedding_table(), tuned_vectors_path)

@@ -77,8 +77,6 @@ class TrainConfig:
     patience: int = 2          # epochs of stalled validation loss before decay
     lr_decay: float = 0.1
     min_lr: float = 1e-6
-    margin: float = MARGIN     # the loss hard-codes "+ 1"; kept for the record
-    n_d: int = 64              # document truncation length, carried for pipelines
     frozen: bool = False       # exclude the embedding table from updates
     seed: int = 0
 
@@ -87,10 +85,6 @@ class TrainConfig:
             raise ValueError("learning-rate settings must be positive (decay in (0,1))")
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ValueError("batch_size/max_epochs/patience out of range")
-        if self.margin != MARGIN:
-            raise ValueError(f"margin is fixed at {MARGIN}")
-        if self.n_d < 1:
-            raise ValueError("n_d must be positive")
 
 
 @dataclass

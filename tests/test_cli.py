@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from prodrank.autodiff import load_checkpoint
 from prodrank.cli import main
 from prodrank.extraction import read_triples
 
@@ -108,12 +109,6 @@ def test_bad_set_value_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_threads_flag_accepted(tmp_path):
-    out = tmp_path / "triples.tsv"
-    assert main(["extract", "--in", str(MICRO_LOG), "--threads", "4",
-                 "--out", str(out)]) == 0
-
-
 SMALL = ["--set", "users=150", "--set", "catalog_size=300", "--set", "dim=16",
          "--set", "sg_epochs=1", "--set", "max_epochs=1", "--set", "batch_size=128"]
 
@@ -191,3 +186,33 @@ def test_eval_missing_checkpoint_exits_one(pipeline_dir, capsys):
                "--vectors", str(d / "vectors.txt")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _train_checkpoint(d, out, *extra):
+    return main(["train", *SMALL, "--set", "max_epochs=0", *extra,
+                 "--train", str(d / "triples.tsv"), "--val", str(d / "triples.tsv"),
+                 "--catalog", str(d / "catalog.jsonl"), "--vectors", str(d / "vectors.txt"),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("arch", ["kernel_pooling", "siamese", "dssm_like", "hybrid_local"])
+def test_train_checkpoint_records_nd(pipeline_dir, tmp_path, arch):
+    ckpt = tmp_path / f"{arch}.ckpt"
+    assert _train_checkpoint(pipeline_dir, ckpt, "--arch", arch, "--nd", "32") == 0
+    descriptor, _ = load_checkpoint(ckpt)
+    assert descriptor.startswith(f"{arch}:")
+    assert "Nd=32" in descriptor.split(":", 1)[1].split(",")
+
+
+def test_eval_truncated_checkpoint_exits_one(pipeline_dir, tmp_path, capsys):
+    d = pipeline_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert _train_checkpoint(d, ckpt) == 0
+    ckpt.write_bytes(ckpt.read_bytes()[:30])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--triples", str(d / "triples.tsv"), "--catalog", str(d / "catalog.jsonl"),
+               "--vectors", str(d / "vectors.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -20,7 +20,7 @@ from prodrank.clicksim import (
     write_log,
     write_truth,
 )
-from prodrank.models import tfidf_score
+from prodrank.models import TfIdfScorer
 from prodrank.text import build_vocabulary, normalize
 
 
@@ -227,13 +227,14 @@ def test_retriever_scores_match_tfidf(tiny_catalog):
     r = TfIdfRetriever(tiny_catalog, n_ranks=10)
     vocab = build_vocabulary([s.doc_tokens() for s in tiny_catalog])
     docs = {s.sku_id: s.doc_tokens() for s in tiny_catalog}
+    tfidf = TfIdfScorer(vocab)
     for query in ("red oak", "table", "velvet sofa", "oak chair red"):
         ranked = r(query)
-        scores = [tfidf_score(normalize(query), docs[sid], vocab) for sid in ranked]
+        scores = [tfidf.score(normalize(query), docs[sid]) for sid in ranked]
         assert all(s > 0 for s in scores)
         assert scores == sorted(scores, reverse=True)
         n_positive = sum(
-            tfidf_score(normalize(query), d, vocab) > 0 for d in docs.values()
+            tfidf.score(normalize(query), d) > 0 for d in docs.values()
         )
         assert len(ranked) == min(10, n_positive)
 

@@ -105,9 +105,8 @@ def test_train_config_mapping():
     tc = cfg.train_config()
     assert tc.lr == 2e-4 and tc.batch_size == 64 and tc.max_epochs == 7
     assert tc.patience == 3 and tc.seed == 5
-    assert tc.n_d == cfg.n_d and tc.frozen is False
-    tc = cfg.train_config(n_d=32, frozen=True)
-    assert tc.n_d == 32 and tc.frozen is True
+    assert tc.frozen is False
+    assert cfg.train_config(frozen=True).frozen is True
 
 
 def test_dump_round_trips(tmp_path):

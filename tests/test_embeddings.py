@@ -205,6 +205,32 @@ def test_skipgram_shape(rng):
     assert set(t.tokens) == {w for s in corpus for w in s}
 
 
+def test_skipgram_negative_draw_past_cdf_end(monkeypatch):
+    # token counts 1, 5, 5 leave the noise CDF ending just below the
+    # largest uniform draw, so an unclamped sampler indexes past the table
+    corpus = [["a"] + ["b"] * 5 + ["c"] * 5]
+    top = np.nextafter(1.0, 0.0)
+    noise = np.array([1.0, 5.0, 5.0]) ** 0.75
+    assert np.cumsum(noise / noise.sum())[-1] < top
+    real = np.random.default_rng
+
+    class TopDraws:
+        """Real draws for the initial vectors, the top draw for negatives."""
+
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def random(self, size):
+            return self._rng.random(size) if isinstance(size, tuple) else np.full(size, top)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", TopDraws)
+    t = train_skipgram(corpus, dim=4, epochs=1, seed=0)
+    assert t.tokens == ["a", "b", "c"] and np.all(np.isfinite(t.vectors))
+
+
 def test_skipgram_degenerate_corpus():
     with pytest.raises(ValueError, match="degenerate"):
         train_skipgram([["only"], ["only", "only"]], dim=4)

@@ -52,6 +52,14 @@ def test_perfect_scorer_zero_rate():
     assert rep.relative_pct == 0.0
 
 
+def test_nan_scorer_rate_one():
+    # a diverged model must not read as perfect
+    triples, docs = _triples()
+    rep = pairwise_error_rate(_ScriptScorer(lambda q, d: float("nan")), triples, docs)
+    assert rep.errors == 4
+    assert rep.rate == 1.0
+
+
 def test_constant_scorer_rate_one():
     # a scorer that cannot break ties misorders every pair by definition
     triples, docs = _triples()

@@ -4,21 +4,18 @@ distributed encoders, hybrid head, persistence."""
 import numpy as np
 import pytest
 
-from prodrank.autodiff import ComputeGraph, LOG_FLOOR, finite_difference_check
+from prodrank.autodiff import ComputeGraph, LOG_FLOOR, finite_difference_check, load_checkpoint
 from prodrank.embeddings import EmbeddingTable, embed_sequence, unit_normalize
 from prodrank.models import (
     KernelBank,
+    TfIdfScorer,
     default_kernel_bank,
     distributed_encode,
-    distributed_score,
-    hybrid_local_score,
     interaction_matrix,
     kernel_features,
-    kernel_pooling_score,
     load_scorer,
     make_scorer,
     save_scorer,
-    tfidf_score,
 )
 from prodrank.text import build_vocabulary
 
@@ -150,27 +147,27 @@ def corpus_vocab(tiny_catalog):
 
 
 def test_tfidf_no_shared_tokens(corpus_vocab):
-    assert tfidf_score(["zebra"], ["oak", "chair"], corpus_vocab) == 0.0
+    assert TfIdfScorer(corpus_vocab).score(["zebra"], ["oak", "chair"]) == 0.0
 
 
 def test_tfidf_single_shared_token(corpus_vocab):
-    got = tfidf_score(["velvet"], ["velvet", "sofa"], corpus_vocab)
+    got = TfIdfScorer(corpus_vocab).score(["velvet"], ["velvet", "sofa"])
     assert got == pytest.approx(corpus_vocab.idf("velvet"))
 
 
 def test_tfidf_counts_multiplicity(corpus_vocab):
-    one = tfidf_score(["red"], ["red", "table"], corpus_vocab)
-    two = tfidf_score(["red"], ["red", "red", "table"], corpus_vocab)
+    one = TfIdfScorer(corpus_vocab).score(["red"], ["red", "table"])
+    two = TfIdfScorer(corpus_vocab).score(["red"], ["red", "red", "table"])
     assert two == pytest.approx(2 * one)
 
 
 def test_tfidf_bag_of_words_permutation_invariant(corpus_vocab, rng):
     doc = ["red", "oak", "chair", "sturdy", "classic", "red"]
     q = ["red", "chair"]
-    base = tfidf_score(q, doc, corpus_vocab)
+    base = TfIdfScorer(corpus_vocab).score(q, doc)
     for _ in range(10):
         shuffled = [doc[i] for i in rng.permutation(len(doc))]
-        assert tfidf_score(q, shuffled, corpus_vocab) == pytest.approx(base)
+        assert TfIdfScorer(corpus_vocab).score(q, shuffled) == pytest.approx(base)
 
 
 def test_tfidf_matches_brute_force(rng):
@@ -184,7 +181,7 @@ def test_tfidf_matches_brute_force(rng):
     for _ in range(50):
         q = [words[j] for j in rng.integers(0, 25, size=rng.integers(1, 5))]
         d = docs[rng.integers(len(docs))]
-        assert tfidf_score(q, d, vocab) == pytest.approx(
+        assert TfIdfScorer(vocab).score(q, d) == pytest.approx(
             tfidf_score_loop(q, d, df, vocab.n_docs), abs=1e-12
         )
 
@@ -220,12 +217,6 @@ def test_exact_match_kernel_increases_with_shared_token():
         interaction_matrix(q, embed_sequence(["c", "c", "a"], 6, t)), s.bank
     ).data[0]
     assert after > before
-
-
-def test_kernel_wrapper_checks_architecture(corpus_vocab):
-    s = make_scorer("tfidf", vocab=corpus_vocab)
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        kernel_pooling_score(["a"], ["b"], s)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +275,12 @@ def test_distributed_wrapper_checks_architecture():
     s = make_scorer("hybrid_local", table=t)
     with pytest.raises(ValueError, match="architecture mismatch"):
         distributed_encode(["a"], s)
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        distributed_score(["a"], ["a"], s)
 
 
 def test_distributed_encode_wrapper_works():
     t = unit_table(["a", "b"], 4)
     s = make_scorer("siamese", table=t)
     assert np.allclose(distributed_encode(["a"], s), s.encode(["a"]))
-    assert distributed_score(["a"], ["b"], s) == pytest.approx(s.score(["a"], ["b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +291,9 @@ def test_distributed_encode_wrapper_works():
 def test_hybrid_zero_interaction_gives_tanh_bias():
     t = unit_table(["a"], 4)
     s = make_scorer("hybrid_local", table=t, n_q=3, n_d=5)
-    assert hybrid_local_score(["oov"], ["gone"], s) == pytest.approx(np.tanh(0.0))
+    assert s.score(["oov"], ["gone"]) == pytest.approx(np.tanh(0.0))
     s.b.data[:] = 0.3
-    assert hybrid_local_score(["oov"], ["gone"], s) == pytest.approx(np.tanh(0.3))
+    assert s.score(["oov"], ["gone"]) == pytest.approx(np.tanh(0.3))
 
 
 def test_hybrid_scalar_output_for_various_sizes():
@@ -314,12 +302,6 @@ def test_hybrid_scalar_output_for_various_sizes():
         s = make_scorer("hybrid_local", table=t, n_q=n_q, n_d=n_d)
         out = s.score_graph(["a", "b"], ["c", "a", "b"])
         assert out.data.shape == ()
-
-
-def test_hybrid_wrapper_checks_architecture():
-    t = unit_table(["a"], 3)
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        hybrid_local_score(["a"], ["a"], make_scorer("siamese", table=t))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +363,6 @@ def test_save_load_round_trip(arch, tmp_path, rng):
     assert back.score(q, d) == pytest.approx(s.score(q, d), abs=1e-15)
 
 
-def test_load_scorer_expect_mismatch(tmp_path):
-    t = unit_table(["a", "b"], 4)
-    save_scorer(make_scorer("siamese", table=t), tmp_path / "m.ckpt")
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        load_scorer(tmp_path / "m.ckpt", t, expect="kernel_pooling")
-
-
 def test_load_scorer_dim_mismatch(tmp_path):
     t4 = unit_table(["a", "b"], 4)
     t5 = unit_table(["a", "b"], 5)
@@ -399,3 +374,34 @@ def test_load_scorer_dim_mismatch(tmp_path):
 def test_save_scorer_rejects_tfidf(corpus_vocab, tmp_path):
     with pytest.raises(ValueError, match="cannot checkpoint"):
         save_scorer(make_scorer("tfidf", vocab=corpus_vocab), tmp_path / "m.ckpt")
+
+
+def test_load_scorer_refuses_reordered_vocabulary(tmp_path):
+    t = unit_table(["a", "b", "c"], 4)
+    save_scorer(make_scorer("kernel_pooling", table=t), tmp_path / "m.ckpt")
+    reversed_table = EmbeddingTable(t.tokens[::-1], t.vectors[::-1].copy())
+    with pytest.raises(ValueError, match="vocabulary mismatch"):
+        load_scorer(tmp_path / "m.ckpt", reversed_table)
+
+
+def test_checkpoint_descriptor_carries_vocab_hash(tmp_path):
+    t = unit_table(["a", "b"], 4)
+    s = make_scorer("siamese", table=t, n_d=8)
+    save_scorer(s, tmp_path / "m.ckpt")
+    descriptor, _ = load_checkpoint(tmp_path / "m.ckpt")
+    head, _, vocab = descriptor.rpartition(",vocab=")
+    assert head == s.descriptor()
+    assert vocab and "," not in vocab and "=" not in vocab
+
+
+@pytest.mark.parametrize("arch", ["kernel_pooling", "siamese", "dssm_like", "hybrid_local"])
+def test_truncated_checkpoint_never_loads(arch, tmp_path):
+    t = unit_table(["a", "b", "c"], 4)
+    s = make_scorer(arch, table=t, n_d=4, **({"n_q": 3} if arch in ("kernel_pooling", "hybrid_local") else {}))
+    save_scorer(s, tmp_path / "full.ckpt")
+    blob = (tmp_path / "full.ckpt").read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            load_scorer(cut, t)

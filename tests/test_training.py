@@ -156,10 +156,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="out of range"):
         TrainConfig(patience=0)
-    with pytest.raises(ValueError, match="margin is fixed"):
-        TrainConfig(margin=2.0)
-    with pytest.raises(ValueError, match="n_d"):
-        TrainConfig(n_d=0)
 
 
 def test_epoch_report_line_format():
