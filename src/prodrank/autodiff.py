@@ -446,7 +446,7 @@ def save_checkpoint(path, descriptor: str, tensors: dict[str, np.ndarray]) -> No
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     """Read a checkpoint back; returns (descriptor, name -> array).
 
-    A file cut short anywhere raises ``ValueError``.
+    A file cut short, or with bytes after its last tensor, raises ``ValueError``.
     """
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size
@@ -473,4 +473,6 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
             tensors[name] = data.astype(np.float64)
+        if f.tell() != end:
+            raise ValueError(f"{path}: {end - f.tell()} bytes after the last tensor")
         return descriptor, tensors

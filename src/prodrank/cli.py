@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True, help="pretrained vector file")
     p.add_argument("--arch", help="architecture tag")
     p.add_argument("--nd", type=int, help="document truncation length")
-    p.add_argument("--frozen", action="store_true", help="freeze the embedding table")
+    p.add_argument("--frozen", action="store_true", default=None,
+                   help="freeze the embedding table")
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--tuned-vectors", help="also dump the fine-tuned vectors here")
 
@@ -85,8 +86,8 @@ def _config_from(args) -> RunConfig:
     cfg = RunConfig.load(args.config, tuple(args.set))
     if args.seed is not None:
         cfg.seed = args.seed
-    for flag, key in (("users", "users"), ("rho", "rho"),
-                      ("dim", "dim"), ("arch", "architecture")):
+    for flag, key in (("users", "users"), ("rho", "rho"), ("dim", "dim"),
+                      ("arch", "architecture"), ("nd", "n_d"), ("frozen", "frozen")):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -117,8 +118,7 @@ def main(argv=None) -> int:
             pipeline.run_pretrain(cfg, args.catalog_in, args.out, log=print)
         elif args.command == "train":
             pipeline.run_train(cfg, args.train, args.val, args.catalog, args.vectors,
-                               args.out, tuned_vectors_path=args.tuned_vectors,
-                               n_d=args.nd, frozen=args.frozen or None, log=print)
+                               args.out, tuned_vectors_path=args.tuned_vectors, log=print)
         elif args.command == "eval":
             pipeline.run_eval(cfg, args.checkpoint, args.triples, args.catalog,
                               args.vectors, log=print)

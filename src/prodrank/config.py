@@ -1,6 +1,7 @@
 """Flat run configuration: ``key = value`` lines plus command-line
-overrides.  Every knob has a typed default below; unknown keys are
-rejected so typos fail loudly instead of silently running defaults.
+overrides.  Every knob has a typed default, below or in ``TrainConfig``;
+unknown keys are rejected so typos fail loudly instead of silently
+running defaults.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
+    # training settings and ``seed``: inherited, so ``train`` takes a RunConfig as it is
     # simulation
-    seed: int = 0
     users: int = 12000
     catalog_size: int = 2000
     stuffers_per_noun: int = 2
@@ -43,18 +44,11 @@ class RunConfig:
     negatives: int = 5
     sg_epochs: int = 5
     sg_lr: float = 0.025
-    # training
-    lr: float = 1e-4
-    batch_size: int = 512
-    max_epochs: int = 20
-    patience: int = 2
-    lr_decay: float = 0.1
-    min_lr: float = 1e-6
-    frozen: bool = False
     # benchmark
     truncations: str = "64"   # comma list; the study grid is 32,64,128
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.train_cut < self.val_cut <= 1.0:
             raise ValueError("need 0 < train_cut < val_cut <= 1")
         if self.sessions_min < 1 or self.sessions_max < self.sessions_min:
@@ -92,14 +86,6 @@ class RunConfig:
         if not grid or any(n < 1 for n in grid):
             raise ValueError(f"bad truncations list: '{self.truncations}'")
         return grid
-
-    def train_config(self, *, frozen: bool | None = None) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr, batch_size=self.batch_size, max_epochs=self.max_epochs,
-            patience=self.patience, lr_decay=self.lr_decay, min_lr=self.min_lr,
-            frozen=self.frozen if frozen is None else frozen,
-            seed=self.seed,
-        )
 
     @classmethod
     def load(cls, path=None, overrides: tuple[str, ...] = ()) -> "RunConfig":

@@ -17,15 +17,10 @@ from .autodiff import Tensor, gather_rows, transpose
 
 @dataclass
 class EmbeddingTable:
-    """token -> dense vector map backed by one (V, dim) array.
-
-    ``trainable`` marks whether a training loop may update the vectors;
-    the frozen-embeddings model variant sets it False.
-    """
+    """token -> dense vector map backed by one (V, dim) array."""
 
     tokens: list[str]
     vectors: np.ndarray
-    trainable: bool = True
     _ids: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -94,7 +89,7 @@ def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every nonzero vector to unit 2-norm; zero vectors stay zero."""
     norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
     scale = np.where(norms > 0.0, norms, 1.0)
-    return EmbeddingTable(list(table.tokens), table.vectors / scale, table.trainable)
+    return EmbeddingTable(list(table.tokens), table.vectors / scale)
 
 
 def save_vectors(table: EmbeddingTable, path) -> None:
@@ -106,7 +101,7 @@ def save_vectors(table: EmbeddingTable, path) -> None:
             f.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_vectors(path, trainable: bool = True) -> EmbeddingTable:
+def load_vectors(path) -> EmbeddingTable:
     """Read the ``save_vectors`` format back; exact round-trip."""
     tokens: list[str] = []
     rows: list[np.ndarray] = []
@@ -132,7 +127,7 @@ def load_vectors(path, trainable: bool = True) -> EmbeddingTable:
             rows.append(row)
     if not tokens:
         raise ValueError(f"{path}: empty vector file")
-    return EmbeddingTable(tokens, np.vstack(rows), trainable)
+    return EmbeddingTable(tokens, np.vstack(rows))
 
 
 def train_skipgram(
@@ -201,4 +196,4 @@ def train_skipgram(
                     g = -alpha * scores
                     w_in[center] = v + g @ u
                     np.add.at(w_out, targets, np.outer(g, v))
-    return EmbeddingTable(tokens, w_in, trainable=True)
+    return EmbeddingTable(tokens, w_in)

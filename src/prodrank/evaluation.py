@@ -92,10 +92,9 @@ class MovementReport:
             lines.append(f"{b0:5.2f} -> {b1:5.2f}   {pairs}")
         if not self.moves:
             lines.append("(no pairs changed bins)")
-        coupled = self.coupled if self.coupled else 0
-        ratio = f"{self.decouple_ratio:.2f}" if coupled else "n/a"
+        ratio = f"{self.decouple_ratio:.2f}" if self.coupled else "n/a"
         lines.append(
-            f"decoupled {self.decoupled}  coupled {coupled}  ratio {ratio}"
+            f"decoupled {self.decoupled}  coupled {self.coupled}  ratio {ratio}"
         )
         return "\n".join(lines)
 
@@ -104,7 +103,6 @@ def moved_word_pairs(
     table_before: EmbeddingTable,
     table_after: EmbeddingTable,
     bin_edges=None,
-    top_k: int = 10,
     max_pairs: int = 200000,
     seed: int = 0,
 ) -> MovementReport:

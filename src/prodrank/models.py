@@ -148,9 +148,18 @@ class _EmbeddingScorer(Scorer):
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
-        self.embedding = Tensor(
-            table.vectors.copy(), requires_grad=table.trainable, name="embedding"
-        )
+        self._params: list[Tensor] = []
+        self.embedding = self._param("embedding", table.vectors.copy())
+
+    def _param(self, name: str, data: np.ndarray) -> Tensor:
+        """A trainable tensor, recorded so ``parameters()`` lists it in
+        creation order (the order of checkpoint tensors and of Adam)."""
+        tensor = Tensor(data, requires_grad=True, name=name)
+        self._params.append(tensor)
+        return tensor
+
+    def parameters(self) -> list[Tensor]:
+        return list(self._params)
 
     @property
     def dim(self) -> int:
@@ -163,7 +172,7 @@ class _EmbeddingScorer(Scorer):
 
     def embedding_table(self) -> EmbeddingTable:
         """Current (possibly trained) vectors as a fresh table."""
-        return EmbeddingTable(list(self.table.tokens), self.embedding.data.copy(), self.table.trainable)
+        return EmbeddingTable(list(self.table.tokens), self.embedding.data.copy())
 
     def _embed(self, tokens: list[str], n_positions: int) -> LocalEmbedding:
         return embed_sequence(tokens, n_positions, self.table, self.embedding)
@@ -198,15 +207,12 @@ class KernelPoolingScorer(_EmbeddingScorer):
         k = len(self.bank)
         # single linear map over kernel features: no symmetry to break, so
         # start at zero and let the first gradient step pick the signs
-        self.w = Tensor(np.zeros((1, k)), requires_grad=True, name="head_w")
-        self.b = Tensor(np.zeros((1, 1)), requires_grad=True, name="head_b")
+        self.w = self._param("head_w", np.zeros((1, k)))
+        self.b = self._param("head_b", np.zeros((1, 1)))
 
     @property
     def n_kernels(self) -> int:
         return len(self.bank)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.embedding, self.w, self.b]
 
     def score_graph(self, q_tokens, d_tokens) -> Tensor:
         q = self._embed(q_tokens, self.n_q)
@@ -239,20 +245,11 @@ class SiameseScorer(_EmbeddingScorer):
         self.channels = channels if channels is not None else dim
         self.out_dim = out_dim if out_dim is not None else dim
         rng = np.random.default_rng(seed)
-        self.wc = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(dim * width), size=(self.channels, dim * width)),
-            requires_grad=True,
-            name="conv_w",
-        )
-        self.w1 = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(self.channels), size=(self.out_dim, self.channels)),
-            requires_grad=True,
-            name="enc_w",
-        )
-        self.b1 = Tensor(np.zeros((self.out_dim, 1)), requires_grad=True, name="enc_b")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.embedding, self.wc, self.w1, self.b1]
+        self.wc = self._param("conv_w", rng.normal(
+            0.0, 1.0 / np.sqrt(dim * width), size=(self.channels, dim * width)))
+        self.w1 = self._param("enc_w", rng.normal(
+            0.0, 1.0 / np.sqrt(self.channels), size=(self.out_dim, self.channels)))
+        self.b1 = self._param("enc_b", np.zeros((self.out_dim, 1)))
 
     def encode_graph(self, tokens: list[str]) -> Tensor:
         # both sides use the document width so the encoder is side-agnostic
@@ -294,20 +291,12 @@ class DssmScorer(_EmbeddingScorer):
         rng = np.random.default_rng(seed)
 
         def layer(rows, cols, tag):
-            w = Tensor(
-                rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols)),
-                requires_grad=True,
-                name=f"{tag}_w",
-            )
-            b = Tensor(np.zeros((rows, 1)), requires_grad=True, name=f"{tag}_b")
-            return w, b
+            w = self._param(f"{tag}_w", rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols)))
+            return w, self._param(f"{tag}_b", np.zeros((rows, 1)))
 
         self.w1, self.b1 = layer(self.hidden, dim, "l1")
         self.w2, self.b2 = layer(self.hidden, self.hidden, "l2")
         self.w3, self.b3 = layer(self.out_dim, self.hidden, "l3")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.embedding, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def encode_graph(self, tokens: list[str]) -> Tensor:
         e = self._embed(tokens, self.n_d)
@@ -349,20 +338,11 @@ class HybridLocalScorer(_EmbeddingScorer):
         self.width = width
         self.channels = channels if channels is not None else n_q
         rng = np.random.default_rng(seed)
-        self.wc = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(n_q * width), size=(self.channels, n_q * width)),
-            requires_grad=True,
-            name="conv_w",
-        )
-        self.w = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(self.channels), size=(1, self.channels)),
-            requires_grad=True,
-            name="head_w",
-        )
-        self.b = Tensor(np.zeros((1, 1)), requires_grad=True, name="head_b")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.embedding, self.wc, self.w, self.b]
+        self.wc = self._param("conv_w", rng.normal(
+            0.0, 1.0 / np.sqrt(n_q * width), size=(self.channels, n_q * width)))
+        self.w = self._param("head_w", rng.normal(
+            0.0, 1.0 / np.sqrt(self.channels), size=(1, self.channels)))
+        self.b = self._param("head_b", np.zeros((1, 1)))
 
     def score_graph(self, q_tokens, d_tokens) -> Tensor:
         q = self._embed(q_tokens, self.n_q)

@@ -8,7 +8,7 @@ stages composed through a scratch directory plus a final report.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import clicksim as cs
 from . import extraction as ex
@@ -87,8 +87,8 @@ def run_pretrain(cfg: RunConfig, catalog_path, vectors_path, log=None) -> None:
     _say(log, f"pretrained {len(table)} vectors of dim {cfg.dim} -> {vectors_path}")
 
 
-def _scorer_kwargs(cfg: RunConfig, n_d: int) -> dict:
-    kwargs = dict(n_d=n_d, seed=cfg.seed)
+def _scorer_kwargs(cfg: RunConfig) -> dict:
+    kwargs = dict(n_d=cfg.n_d, seed=cfg.seed)
     if cfg.architecture in ("kernel_pooling", "hybrid_local"):
         kwargs["n_q"] = cfg.n_q
     if cfg.architecture == "kernel_pooling":
@@ -97,18 +97,15 @@ def _scorer_kwargs(cfg: RunConfig, n_d: int) -> dict:
 
 
 def run_train(cfg: RunConfig, train_path, val_path, catalog_path, vectors_path,
-              checkpoint_path, tuned_vectors_path=None, n_d: int | None = None,
-              frozen: bool | None = None, log=None) -> TrainResult:
+              checkpoint_path, tuned_vectors_path=None, log=None) -> TrainResult:
     """Fit one ranker variant and checkpoint it."""
-    n_d = cfg.n_d if n_d is None else n_d
     catalog = read_catalog(catalog_path)
     docs = {sku.sku_id: sku.doc_tokens() for sku in catalog}
     train_triples = ex.read_triples(train_path)
     val_triples = ex.read_triples(val_path)
     table = load_vectors(vectors_path)
-    scorer = make_scorer(cfg.architecture, table=table, **_scorer_kwargs(cfg, n_d))
-    result = train(scorer, train_triples, val_triples, docs,
-                   cfg.train_config(frozen=frozen), log=log)
+    scorer = make_scorer(cfg.architecture, table=table, **_scorer_kwargs(cfg))
+    result = train(scorer, train_triples, val_triples, docs, cfg, log=log)
     save_scorer(scorer, checkpoint_path)
     if tuned_vectors_path is not None:
         save_vectors(scorer.embedding_table(), tuned_vectors_path)
@@ -179,32 +176,26 @@ def run_benchmark(cfg: RunConfig, out_dir, log=None) -> BenchmarkResult:
                                f"(extracted {extract_info['triples']} triples)")
     run_pretrain(cfg, path("catalog.jsonl"), path("vectors_pretrained.txt"), log=log)
 
-    catalog = read_catalog(path("catalog.jsonl"))
-    docs = {sku.sku_id: sku.doc_tokens() for sku in catalog}
-    vocab = build_vocabulary(list(docs.values()))
-    val_triples = ex.read_triples(path("triples_val.tsv"))
-    test_triples = ex.read_triples(path("triples_test.tsv"))
-    base_val = pairwise_error_rate(make_scorer("tfidf", vocab=vocab), val_triples, docs)
-    base_test = pairwise_error_rate(make_scorer("tfidf", vocab=vocab), test_triples, docs)
-
     variants: list[BenchmarkVariant] = []
     movement: MovementReport | None = None
     for n_d in cfg.truncation_grid():
         for frozen in (False, True):
+            variant = replace(cfg, n_d=n_d, frozen=frozen)
             tag = f"nd{n_d}" + ("_frozen" if frozen else "")
             ckpt = path(f"model_{tag}.ckpt")
             tuned = None if frozen else path(f"vectors_tuned_nd{n_d}.txt")
-            result = run_train(cfg, path("triples_train.tsv"), path("triples_val.tsv"),
+            result = run_train(variant, path("triples_train.tsv"), path("triples_val.tsv"),
                                path("catalog.jsonl"), path("vectors_pretrained.txt"),
-                               ckpt, tuned_vectors_path=tuned, n_d=n_d,
-                               frozen=frozen, log=log)
-            scorer = load_scorer(ckpt, load_vectors(path("vectors_pretrained.txt")))
-            val = pairwise_error_rate(scorer, val_triples, docs, base_val)
-            test = pairwise_error_rate(scorer, test_triples, docs, base_test)
+                               ckpt, tuned_vectors_path=tuned, log=log)
+            val, test = [run_eval(variant, ckpt, path(f"triples_{part}.tsv"),
+                                  path("catalog.jsonl"), path("vectors_pretrained.txt"),
+                                  log=log) for part in ("val", "test")]
+            base_val, base_test = val["baseline"], test["baseline"]
             label = f"{cfg.architecture} Nd={n_d}" + (" frozen" if frozen else "")
-            variants.append(BenchmarkVariant(label, n_d, frozen, result.best_epoch,
-                                             val.rate, test.rate,
-                                             val.relative_pct, test.relative_pct))
+            variants.append(BenchmarkVariant(
+                label, n_d, frozen, result.best_epoch,
+                val["model"].rate, test["model"].rate,
+                val["model"].relative_pct, test["model"].relative_pct))
             if not frozen and movement is None:
                 movement = run_inspect(path("vectors_pretrained.txt"), tuned)
 

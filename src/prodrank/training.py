@@ -114,6 +114,12 @@ def _token_cache(triples: list[TrainingTriple]) -> dict[str, Tokens]:
     return {q: normalize(q) for q in {t.query for t in triples}}
 
 
+def _check_skus(triples: list[TrainingTriple], doc_tokens: dict[str, Tokens]) -> None:
+    missing = {s for t in triples for s in (t.rel_sku, t.irrel_sku)} - doc_tokens.keys()
+    if missing:
+        raise ValueError(f"doc_tokens missing {len(missing)} skus, e.g. {sorted(missing)[:3]}")
+
+
 def evaluate_triples(
     scorer: Scorer,
     triples: list[TrainingTriple],
@@ -124,6 +130,7 @@ def evaluate_triples(
     the model failed to order the pair."""
     if not triples:
         raise ValueError("cannot evaluate on an empty triple list")
+    _check_skus(triples, doc_tokens)
     if q_cache is None:
         q_cache = _token_cache(triples)
     loss = 0.0
@@ -153,17 +160,22 @@ def train(
         config = TrainConfig()
     if not train_triples or not val_triples:
         raise ValueError("need non-empty train and validation triples")
+    _check_skus(train_triples, doc_tokens)  # evaluate_triples checks the validation ones
+    # a frozen table leaves the tape for the run, so no gradient is computed for it
+    frozen = [p for p in scorer.parameters() if config.frozen and p.name == "embedding"]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        return _fit(scorer, train_triples, val_triples, doc_tokens, config, log)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+
+
+def _fit(scorer, train_triples, val_triples, doc_tokens, config, log) -> TrainResult:
     params = scorer.trainable_parameters()
-    if config.frozen:
-        params = [p for p in params if p.name != "embedding"]
     if not params:
-        raise ValueError(
-            f"scorer '{scorer.descriptor()}' has no trainable parameters"
-        )
-    missing = ({t.rel_sku for t in train_triples + val_triples}
-               | {t.irrel_sku for t in train_triples + val_triples}) - set(doc_tokens)
-    if missing:
-        raise ValueError(f"doc_tokens missing {len(missing)} skus, e.g. {sorted(missing)[:3]}")
+        raise ValueError(f"scorer '{scorer.descriptor()}' has no trainable parameters")
 
     optimizer = Adam(params, lr=config.lr)
     q_train = _token_cache(train_triples)

@@ -11,10 +11,12 @@ neither adds anything.
 import filecmp
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prodrank.autodiff import load_checkpoint
 from prodrank.cli import main
+from prodrank.embeddings import load_vectors
 from prodrank.extraction import read_triples
 
 DATA = Path(__file__).parent / "data"
@@ -216,3 +218,34 @@ def test_eval_truncated_checkpoint_exits_one(pipeline_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("frozen", ["yes", "no"])
+def test_config_file_frozen_holds_without_flag(pipeline_dir, tmp_path, frozen):
+    d = pipeline_dir
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"frozen = {frozen}\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", *SMALL, "--config", str(cfg),
+                 "--train", str(d / "triples.tsv"), "--val", str(d / "triples.tsv"),
+                 "--catalog", str(d / "catalog.jsonl"), "--vectors", str(d / "vectors.txt"),
+                 "--out", str(ckpt)]) == 0
+    _, tensors = load_checkpoint(ckpt)
+    unchanged = np.array_equal(tensors["embedding"], load_vectors(d / "vectors.txt").vectors)
+    assert unchanged is (frozen == "yes")
+
+
+def test_eval_unknown_sku_exits_one(pipeline_dir, tmp_path, capsys):
+    d = pipeline_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert _train_checkpoint(d, ckpt) == 0
+    rel = (d / "triples.tsv").read_text().splitlines()[0].split("\t")[1]
+    triples = tmp_path / "bad.tsv"
+    triples.write_text(f"some query\t{rel}\tnope\t0\n")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt), "--triples", str(triples),
+               "--catalog", str(d / "catalog.jsonl"), "--vectors", str(d / "vectors.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "doc_tokens missing 1 skus" in err

@@ -100,13 +100,9 @@ def test_load_revalidates_after_overrides():
         RunConfig.load(None, overrides=("train_cut=0.95", "val_cut=0.9"))
 
 
-def test_train_config_mapping():
-    cfg = RunConfig(lr=2e-4, batch_size=64, max_epochs=7, patience=3, seed=5)
-    tc = cfg.train_config()
-    assert tc.lr == 2e-4 and tc.batch_size == 64 and tc.max_epochs == 7
-    assert tc.patience == 3 and tc.seed == 5
-    assert tc.frozen is False
-    assert cfg.train_config(frozen=True).frozen is True
+def test_training_settings_validated_at_load():
+    with pytest.raises(ValueError, match="learning-rate"):
+        RunConfig.load(None, ("lr=0",))
 
 
 def test_dump_round_trips(tmp_path):

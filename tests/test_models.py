@@ -401,7 +401,8 @@ def test_truncated_checkpoint_never_loads(arch, tmp_path):
     save_scorer(s, tmp_path / "full.ckpt")
     blob = (tmp_path / "full.ckpt").read_bytes()
     cut = tmp_path / "cut.ckpt"
-    for n in range(len(blob)):
-        cut.write_bytes(blob[:n])
+    # every proper prefix, and the whole file with bytes appended
+    for bad in [blob[:n] for n in range(len(blob))] + [blob + b"garbage"]:
+        cut.write_bytes(bad)
         with pytest.raises(ValueError):
             load_scorer(cut, t)

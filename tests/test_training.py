@@ -28,9 +28,9 @@ from prodrank.training import (
 )
 
 
-def make_table(tokens, dim=8, seed=0, trainable=True):
+def make_table(tokens, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    raw = EmbeddingTable(list(tokens), rng.standard_normal((len(tokens), dim)), trainable)
+    raw = EmbeddingTable(list(tokens), rng.standard_normal((len(tokens), dim)))
     return unit_normalize(raw)
 
 
@@ -289,6 +289,19 @@ def test_divergence_aborts_with_diagnostics():
     config = TrainConfig(lr=1e308, max_epochs=5)
     with pytest.raises(RuntimeError, match="training diverged"):
         train(scorer, triples, val, docs, config)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frozen_table_leaves_the_tape_only_while_training():
+    table, docs, triples = separable_problem(n=8)
+    scorer = KernelPoolingScorer(table, n_q=4, n_d=8, linear=True)
+    train(scorer, triples, triples, docs, TrainConfig(batch_size=4, max_epochs=2, frozen=True))
+    assert scorer.embedding.grad is None  # no gradient was computed for it
+    assert scorer.embedding in scorer.trainable_parameters()
+    # restored on the way out of a failed run too
+    with pytest.raises(RuntimeError, match="training diverged"):
+        train(scorer, triples, triples, docs, TrainConfig(lr=1e308, max_epochs=5, frozen=True))
+    assert scorer.embedding in scorer.trainable_parameters()
 
 
 def test_empty_triples_rejected():
