@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The primitive set covers exactly what the scoring architectures need:
-matmul, transpose, 1-D convolution, tanh, elementwise add/multiply with
+matmul, 1-D convolution over rows, tanh, elementwise add/multiply with
 broadcasting, axis sum, axis max-pooling, exp, guarded log, the matrix
 dot product ``<A, B> = A @ B.T`` and an embedding-row gather.  All data is
 float64; forward evaluation is deterministic.
@@ -258,13 +258,6 @@ def matmul(a, b) -> Tensor:
     ))
 
 
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("transpose", f"need a matrix, got shape {x.data.shape}")
-    return _node(x.data.T.copy(), (x,), lambda g: ((x, g.T),))
-
-
 def dot(a, b) -> Tensor:
     """``<A, B> = A @ B.T``: (m, k) x (n, k) -> (m, n); two k-vectors -> scalar."""
     a, b = as_tensor(a), as_tensor(b)
@@ -288,15 +281,16 @@ def dot(a, b) -> Tensor:
 def conv1d(x, w, width: int) -> Tensor:
     """Valid 1-D convolution over positions.
 
-    ``x`` is (features, positions); each window of ``width`` consecutive
-    columns is flattened row-major and mapped by ``w`` of shape
-    (channels, features * width) to one output column: (channels,
-    positions - width + 1).  No bias.
+    ``x`` is (positions, features), one position per row; each window of
+    ``width`` consecutive rows is flattened feature-major (entry
+    f * width + j holds feature f of the window's row j) and mapped by
+    ``w`` of shape (channels, features * width) to one output column:
+    (channels, positions - width + 1).  No bias.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError("conv1d", f"need matrices, got {x.data.shape} and {w.data.shape}")
-    k, n = x.data.shape
+    n, k = x.data.shape
     if w.data.shape[1] != k * width:
         raise ShapeError(
             "conv1d",
@@ -304,8 +298,8 @@ def conv1d(x, w, width: int) -> Tensor:
         )
     if n < width:
         raise ShapeError("conv1d", f"{n} positions shorter than window width {width}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=1)
-    col = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(k * width, n - width + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=0)
+    col = np.ascontiguousarray(windows.transpose(1, 2, 0)).reshape(k * width, n - width + 1)
     data = w.data @ col
 
     def backward(g):
@@ -313,7 +307,7 @@ def conv1d(x, w, width: int) -> Tensor:
         gcol = (w.data.T @ g).reshape(k, width, n - width + 1)
         gx = np.zeros_like(x.data)
         for j in range(width):
-            gx[:, j : j + n - width + 1] += gcol[:, j, :]
+            gx[j : j + n - width + 1] += gcol[:, j, :].T
         return ((x, gx), (w, gw))
 
     return _node(data, (x, w), backward)

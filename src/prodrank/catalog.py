@@ -155,15 +155,21 @@ def read_catalog(path) -> list[Sku]:
                 continue
             try:
                 record = json.loads(line)
-                skus.append(
-                    Sku(
-                        sku_id=record["sku_id"],
-                        title=record["title"],
-                        extra=record.get("extra", ""),
-                        noun=record.get("noun", ""),
-                        attributes=tuple(record.get("attributes", ())),
-                    )
+                attributes = record.get("attributes", [])
+                sku = Sku(
+                    sku_id=record["sku_id"],
+                    title=record["title"],
+                    extra=record.get("extra", ""),
+                    noun=record.get("noun", ""),
+                    attributes=tuple(attributes),
                 )
+                if not isinstance(attributes, list) or not all(
+                    isinstance(v, str)
+                    for v in (sku.sku_id, sku.title, sku.extra, sku.noun, *sku.attributes)
+                ):
+                    raise TypeError("sku_id, title, extra and noun must be strings, "
+                                    "attributes a list of strings")
+                skus.append(sku)
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ValueError(f"{path}:{lineno}: bad catalog record ({e})") from None
     if not skus:

@@ -83,15 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig.load(args.config, tuple(args.set))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    for flag, key in (("users", "users"), ("rho", "rho"), ("dim", "dim"),
-                      ("arch", "architecture"), ("nd", "n_d"), ("frozen", "frozen")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    # dedicated flags are overrides applied after --set, so they win and are validated
+    flags = [f"{key}={getattr(args, flag)}" for flag, key in (
+        ("seed", "seed"), ("users", "users"), ("rho", "rho"), ("dim", "dim"),
+        ("arch", "architecture"), ("nd", "n_d"), ("frozen", "frozen"),
+    ) if getattr(args, flag, None) is not None]
+    return RunConfig.load(args.config, (*args.set, *flags))
 
 
 def _sibling(path, name: str) -> str:

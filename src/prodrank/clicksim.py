@@ -382,15 +382,17 @@ def read_log(path) -> list[SearchRequest]:
                 continue
             try:
                 rec = json.loads(line)
-                requests.append(
-                    SearchRequest(
-                        timestamp=int(rec["ts"]),
-                        user=rec["user"],
-                        query=rec["query"],
-                        impressions=[(sku, int(rank)) for sku, rank in rec["impressions"]],
-                        clicks=[int(r) for r in rec["clicks"]],
-                    )
+                request = SearchRequest(
+                    timestamp=int(rec["ts"]),
+                    user=rec["user"],
+                    query=rec["query"],
+                    impressions=[(sku, int(rank)) for sku, rank in rec["impressions"]],
+                    clicks=[int(r) for r in rec["clicks"]],
                 )
+                if not (isinstance(request.user, str) and isinstance(request.query, str)
+                        and all(isinstance(sku, str) for sku, _ in request.impressions)):
+                    raise TypeError("user, query and impression SKUs must be strings")
+                requests.append(request)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad log record ({e})") from None
     return requests

@@ -53,6 +53,9 @@ class RunConfig(TrainConfig):
             raise ValueError("need 0 < train_cut < val_cut <= 1")
         if self.sessions_min < 1 or self.sessions_max < self.sessions_min:
             raise ValueError("bad sessions_min/sessions_max range")
+        for key in ("dim", "n_q", "n_d", "users"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.truncation_grid()
 
     def set(self, key: str, raw: str) -> None:

@@ -2,8 +2,8 @@
 sequence, unit normalization, and a small skip-gram pre-trainer.
 
 Conventions shared with the scorers: out-of-vocabulary tokens map to the
-zero vector (same as padding), and a sequence embeds to a (dim, N) matrix
-whose first ``min(len(tokens), N)`` columns are real.
+zero vector (same as padding), and a sequence embeds to an (N, dim) matrix,
+one token vector per row, whose first ``min(len(tokens), N)`` rows are real.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, transpose
+from .autodiff import Tensor, gather_rows
 
 
 @dataclass
@@ -54,8 +54,8 @@ class EmbeddingTable:
 
 @dataclass
 class LocalEmbedding:
-    """A token sequence as a (dim, N) matrix: one vector per column,
-    zero columns past ``n_real``."""
+    """A token sequence as an (N, dim) matrix: one vector per row, zero
+    rows past ``n_real``."""
 
     matrix: Tensor
     n_real: int
@@ -64,12 +64,13 @@ class LocalEmbedding:
 def embed_sequence(
     tokens: list[str], n_positions: int, table: EmbeddingTable, param: Tensor | None = None
 ) -> LocalEmbedding:
-    """Embed ``tokens`` into a fixed-width (dim, n_positions) matrix.
+    """Embed ``tokens`` into a fixed-length (n_positions, dim) matrix.
 
-    The sequence is truncated to ``n_positions`` columns; shorter
-    sequences are zero-padded on the right.  Unknown tokens give zero
-    columns.  Pass the table's vectors wrapped as a trainable ``param``
-    tensor to make the result differentiable w.r.t. the table.
+    The sequence is truncated to ``n_positions`` rows; shorter sequences
+    are zero-padded at the bottom.  Unknown tokens give zero rows.  Pass
+    the table's vectors wrapped as a trainable ``param`` tensor to make
+    the result differentiable w.r.t. the table; without one the rows are
+    gathered from ``table.vectors``.
     """
     if n_positions < 1:
         raise ValueError(f"n_positions must be >= 1, got {n_positions}")
@@ -77,12 +78,7 @@ def embed_sequence(
     n_real = min(len(tokens), n_positions)
     for j in range(n_real):
         ids[j] = table.id_of(tokens[j])
-    if param is None:
-        known = ids >= 0
-        mat = np.zeros((n_positions, table.dim))
-        mat[known] = table.vectors[ids[known]]
-        return LocalEmbedding(transpose(Tensor(mat)), n_real)
-    return LocalEmbedding(transpose(gather_rows(param, ids)), n_real)
+    return LocalEmbedding(gather_rows(table.vectors if param is None else param, ids), n_real)
 
 
 def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:

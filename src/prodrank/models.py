@@ -55,22 +55,20 @@ def default_kernel_bank() -> KernelBank:
 
 @dataclass
 class InteractionMatrix:
-    """Pairwise query-token x document-token similarities, with the count
-    of real (non-padding) rows and columns."""
+    """Query-position x document-position similarities, with the count of
+    real (non-padding) query rows."""
 
     values: Tensor
     n_q_real: int
-    n_d_real: int
 
 
 def interaction_matrix(q: LocalEmbedding, d: LocalEmbedding) -> InteractionMatrix:
     """All pairwise dot products between query and document token vectors."""
-    if q.matrix.shape[0] != d.matrix.shape[0]:
+    if q.matrix.shape[1] != d.matrix.shape[1]:
         raise ValueError(
-            f"embedding dimensions differ: query {q.matrix.shape[0]} vs document {d.matrix.shape[0]}"
+            f"embedding dimensions differ: query {q.matrix.shape[1]} vs document {d.matrix.shape[1]}"
         )
-    values = ad.dot(ad.transpose(q.matrix), ad.transpose(d.matrix))
-    return InteractionMatrix(values, q.n_real, d.n_real)
+    return InteractionMatrix(ad.dot(q.matrix, d.matrix), q.n_real)
 
 
 def kernel_features(m: InteractionMatrix, bank: KernelBank) -> Tensor:
@@ -182,6 +180,11 @@ class _EmbeddingScorer(Scorer):
         h = ad.add(ad.matmul(w, x), b)
         return h if final else ad.tanh(h)
 
+    def _conv_pool(self, x: Tensor) -> Tensor:
+        """tanh(conv1d by ``self.wc``) over the rows of ``x``, max-pooled to (channels, 1)."""
+        c = ad.tanh(ad.conv1d(x, self.wc, self.width))
+        return ad.reshape(ad.max_pool(c, axis=1), (self.channels, 1))
+
 
 class KernelPoolingScorer(_EmbeddingScorer):
     """Kernel-pooled soft term frequencies fed to a one-layer head."""
@@ -254,9 +257,7 @@ class SiameseScorer(_EmbeddingScorer):
     def encode_graph(self, tokens: list[str]) -> Tensor:
         # both sides use the document width so the encoder is side-agnostic
         e = self._embed(tokens, self.n_d)
-        c = ad.tanh(ad.conv1d(e.matrix, self.wc, self.width))
-        pooled = ad.reshape(ad.max_pool(c, axis=1), (self.channels, 1))
-        v = ad.tanh(ad.add(ad.matmul(self.w1, pooled), self.b1))
+        v = self._mlp_layer(self.w1, self.b1, self._conv_pool(e.matrix))
         return ad.reshape(v, (self.out_dim,))
 
     def encode(self, tokens: list[str]) -> np.ndarray:
@@ -300,7 +301,7 @@ class DssmScorer(_EmbeddingScorer):
 
     def encode_graph(self, tokens: list[str]) -> Tensor:
         e = self._embed(tokens, self.n_d)
-        s = ad.reshape(ad.asum(e.matrix, axis=1), (self.table.dim, 1))
+        s = ad.reshape(ad.asum(e.matrix, axis=0), (self.table.dim, 1))
         h = self._mlp_layer(self.w1, self.b1, s)
         h = self._mlp_layer(self.w2, self.b2, h)
         v = self._mlp_layer(self.w3, self.b3, h)
@@ -347,10 +348,8 @@ class HybridLocalScorer(_EmbeddingScorer):
     def score_graph(self, q_tokens, d_tokens) -> Tensor:
         q = self._embed(q_tokens, self.n_q)
         d = self._embed(d_tokens, self.n_d)
-        m = interaction_matrix(q, d)
-        c = ad.tanh(ad.conv1d(m.values, self.wc, self.width))
-        pooled = ad.reshape(ad.max_pool(c, axis=1), (self.channels, 1))
-        out = ad.tanh(ad.add(ad.matmul(self.w, pooled), self.b))
+        # document positions are the rows, query positions the conv features
+        out = self._mlp_layer(self.w, self.b, self._conv_pool(ad.dot(d.matrix, q.matrix)))
         return ad.reshape(out, ())
 
 

@@ -25,7 +25,6 @@ from prodrank.autodiff import (
     reshape,
     save_checkpoint,
     tanh,
-    transpose,
 )
 
 from oracles import conv1d_loop
@@ -59,7 +58,7 @@ def test_dot_matrix_shapes():
 def test_conv1d_matches_nested_loop(rng):
     x = rng.normal(size=(8, 16))
     w = rng.normal(size=(4, 8 * 3))
-    out = conv1d(Tensor(x), Tensor(w), width=3)
+    out = conv1d(Tensor(x.T), Tensor(w), width=3)
     assert out.data.shape == (4, 14)
     assert np.allclose(out.data, conv1d_loop(x, w, 3), atol=1e-12)
 
@@ -258,7 +257,8 @@ def test_fd_catches_planted_bug(rng):
 
 def test_fd_exercises_every_primitive(rng):
     # one composite graph touching conv, pooling, kernels-style exp/log
-    x = Tensor(rng.normal(size=(3, 7)))
+    # rows, copied contiguous so the checker's in-place perturbation reaches them
+    x = Tensor(rng.normal(size=(3, 7)).T.copy(), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 9)) * 0.4, requires_grad=True)
     v = Tensor(rng.normal(size=(2,)) * 0.4, requires_grad=True)
 
@@ -268,7 +268,7 @@ def test_fd_exercises_every_primitive(rng):
         e = exp(mul(p, -1.0))
         return asum(log(add(mul(reshape(v, (2, 1)), reshape(e, (2, 1))), 1.0)))
 
-    graph = ComputeGraph(fn, [w, v])
+    graph = ComputeGraph(fn, [x, w, v])
     assert finite_difference_check(graph) <= 1e-6
 
 

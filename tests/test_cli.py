@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from prodrank.autodiff import load_checkpoint
+from prodrank.catalog import write_catalog
 from prodrank.cli import main
 from prodrank.embeddings import load_vectors
 from prodrank.extraction import read_triples
@@ -109,6 +110,31 @@ def test_bad_set_value_exits_one(tmp_path, capsys):
     assert main(["extract", "--in", str(MICRO_LOG), "--set", "rho=banana",
                  "--out", str(tmp_path / "t.tsv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["pretrain", "--dim", "0"], "dim"),
+    (["pretrain", "--set", "dim=0"], "dim"),
+    (["simulate", "--users", "-5"], "users"),
+], ids=["dim-flag", "dim-set", "users-flag"])
+def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key):
+    write_catalog(tiny_catalog, tmp_path / "catalog.jsonl")
+    inputs = ["--in", str(tmp_path / "catalog.jsonl")] if argv[0] == "pretrain" else []
+    assert main([*argv, *inputs, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >= 1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, record", [
+    ("pretrain", '{"sku_id": "A", "title": 5, "extra": "x"}'),
+    ("extract", '{"clicks": [], "impressions": [["s1", 1]], "query": 5, "ts": 1, "user": "u"}'),
+], ids=["catalog", "log"])
+def test_badly_typed_record_exits_one(tmp_path, capsys, command, record):
+    path = tmp_path / "input.jsonl"
+    path.write_text(record + "\n")
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1: bad") and err.count("\n") == 1
 
 
 SMALL = ["--set", "users=150", "--set", "catalog_size=300", "--set", "dim=16",

@@ -51,6 +51,9 @@ def test_validation():
         RunConfig(truncations="")
     with pytest.raises(ValueError, match="bad truncations"):
         RunConfig(truncations="0,64")
+    for key in ("dim", "n_q", "n_d", "users"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            RunConfig(**{key: 0})
 
 
 def test_truncation_grid_parses_comma_list():

@@ -50,28 +50,28 @@ def test_table_duplicate_token_rejected():
 def test_empty_sequence_is_all_padding(table):
     emb = embed_sequence([], 3, table)
     assert emb.n_real == 0
-    assert emb.matrix.data.shape == (2, 3)
+    assert emb.matrix.data.shape == (3, 2)
     assert np.all(emb.matrix.data == 0.0)
 
 
 def test_truncation_to_n_positions(table):
     emb = embed_sequence(["red", "oak", "chair", "red", "oak"], 3, table)
     assert emb.n_real == 3
-    assert np.array_equal(emb.matrix.data[:, 0], [1.0, 0.0])
-    assert np.array_equal(emb.matrix.data[:, 2], [1.0, 1.0])
+    assert np.array_equal(emb.matrix.data[0], [1.0, 0.0])
+    assert np.array_equal(emb.matrix.data[2], [1.0, 1.0])
 
 
 def test_padding_after_single_token(table):
     emb = embed_sequence(["chair"], 3, table)
     assert emb.n_real == 1
-    assert np.array_equal(emb.matrix.data, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(emb.matrix.data, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_oov_token_embeds_to_zero_column(table):
     emb = embed_sequence(["red", "mystery", "oak"], 4, table)
     assert emb.n_real == 3
-    assert np.all(emb.matrix.data[:, 1] == 0.0)
-    assert np.all(emb.matrix.data[:, 3] == 0.0)  # padding looks the same
+    assert np.all(emb.matrix.data[1] == 0.0)
+    assert np.all(emb.matrix.data[3] == 0.0)  # padding looks the same
 
 
 def test_bad_n_positions_rejected(table):

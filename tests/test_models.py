@@ -1,11 +1,14 @@
 """Scorer architectures: interaction matrix, kernel pooling, tf-idf,
 distributed encoders, hybrid head, persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from prodrank.autodiff import ComputeGraph, LOG_FLOOR, finite_difference_check, load_checkpoint
-from prodrank.embeddings import EmbeddingTable, embed_sequence, unit_normalize
+from prodrank.embeddings import EmbeddingTable, embed_sequence, load_vectors, unit_normalize
 from prodrank.models import (
     KernelBank,
     TfIdfScorer,
@@ -20,6 +23,8 @@ from prodrank.models import (
 from prodrank.text import build_vocabulary
 
 from oracles import kernel_features_loop, tfidf_score_loop
+
+COMPAT = Path(__file__).parent / "data" / "compat"
 
 
 def unit_table(tokens, dim, seed=0):
@@ -52,7 +57,7 @@ def test_interaction_padding_rows_zero():
     q = embed_sequence(["a", "b"], 4, t)
     d = embed_sequence(["c", "a", "b"], 6, t)
     m = interaction_matrix(q, d)
-    assert m.n_q_real == 2 and m.n_d_real == 3
+    assert m.n_q_real == 2
     assert np.all(m.values.data[2:, :] == 0.0)
     assert np.all(m.values.data[:, 3:] == 0.0)
 
@@ -104,7 +109,6 @@ class _FakeMatrix:
 
         self.values = Tensor(np.asarray(values, dtype=float))
         self.n_q_real = n_q_real
-        self.n_d_real = np.asarray(values).shape[1]
 
 
 def test_kernel_single_entry_at_mean():
@@ -361,6 +365,18 @@ def test_save_load_round_trip(arch, tmp_path, rng):
     q, d = ["t0", "t2"], ["t3", "t1", "t5"]
     assert back.descriptor() == s.descriptor()
     assert back.score(q, d) == pytest.approx(s.score(q, d), abs=1e-15)
+
+
+@pytest.mark.parametrize("arch", ["kernel_pooling", "siamese", "dssm_like", "hybrid_local"])
+def test_recorded_checkpoints_score_as_recorded(arch):
+    # tests/data/compat holds a dim-4 vector file, one checkpoint per
+    # architecture (n_d 6, random weights) and the scores of fixed pairs,
+    # all written by commit afab448.  Matching them pins what a gradient
+    # check cannot: the conv_w flattening and hybrid_local's orientation.
+    recorded = json.loads((COMPAT / "scores.json").read_text())
+    scorer = load_scorer(COMPAT / f"{arch}.ckpt", load_vectors(COMPAT / "vectors.txt"))
+    for (q, d), want in zip(recorded["pairs"], recorded["scores"][arch], strict=True):
+        assert scorer.score(q, d) == pytest.approx(want, abs=1e-12)
 
 
 def test_load_scorer_dim_mismatch(tmp_path):
