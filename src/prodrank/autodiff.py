@@ -6,16 +6,18 @@ broadcasting, axis sum, axis max-pooling, exp, guarded log, the matrix
 dot product ``<A, B> = A @ B.T`` and an embedding-row gather.  All data is
 float64; forward evaluation is deterministic.
 
-Gradients are recorded as closures on the output tensor (a tape); calling
-``backward()`` on a scalar output walks the tape in reverse topological
-order and accumulates ``.grad`` on every tensor created with
-``requires_grad=True``.  ``ComputeGraph`` wraps a reusable forward
-function plus its trainable leaves and provides a central-difference
-gradient check.
+Each op's gradient closure, which holds the op's inputs, is its tape
+entry.  ``backward()`` on a scalar output walks the nodes latest-created
+first (an output is always created after its inputs) and accumulates
+``.grad`` on every tensor created with ``requires_grad=True``.
+``ComputeGraph`` wraps a reusable forward function plus its trainable
+leaves and provides a central-difference gradient check.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import os
 import struct
 from typing import Callable, Iterable, Sequence
@@ -24,12 +26,13 @@ import numpy as np
 
 LOG_FLOOR = 1e-10
 
+_created = itertools.count()
+
 class ShapeError(ValueError):
     """Input shapes violate a primitive's shape rule."""
 
     def __init__(self, op: str, detail: str):
         super().__init__(f"{op}: {detail}")
-        self.op = op
 
 
 class Tensor:
@@ -39,22 +42,19 @@ class Tensor:
     mutates parameter ``.data`` between passes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_seq", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents: tuple = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._seq = next(_created)
+        self._backward: Callable[[np.ndarray], tuple] | None = None
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def item(self) -> float:
-        return self.data.item()
 
     def backward(self, seed: float = 1.0) -> None:
         """Accumulate gradients of a scalar output into the tape's leaves."""
@@ -62,60 +62,29 @@ class Tensor:
             raise ValueError(
                 f"backward requires a scalar output, got shape {self.data.shape}"
             )
-        order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.full(self.data.shape, float(seed))}
-        for node in order:
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        # max-heap on creation number: every consumer of a node was created
+        # after it, so is popped first and the node's gradient is complete
+        grads = {self._seq: np.full(self.data.shape, float(seed))}
+        pending = [(-self._seq, self)]
+        while pending:
+            _, node = heapq.heappop(pending)
+            g = grads.pop(node._seq)
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             if node._backward is not None:
                 for parent, pg in node._backward(g):
                     if not parent.requires_grad and parent._backward is None:
                         continue
-                    key = id(parent)
+                    key = parent._seq
                     if key in grads:
                         grads[key] = grads[key] + pg
                     else:
                         grads[key] = pg
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
+                        heapq.heappush(pending, (-key, parent))
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    """Reverse topological order of the tape reachable from ``root``."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    order.reverse()
-    return order
 
 
 def as_tensor(value) -> Tensor:
@@ -123,10 +92,10 @@ def as_tensor(value) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Create an op output; the tape entry is dropped when no parent needs it."""
+    """Create an op output with tape entry ``backward`` (output gradient ->
+    ``(input, gradient)`` pairs), dropped when no input needs a gradient."""
     out = Tensor(data)
     if any(p.requires_grad or p._backward is not None for p in parents):
-        out._parents = tuple(parents)
         out._backward = backward
     return out
 

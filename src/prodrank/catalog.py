@@ -155,6 +155,8 @@ def read_catalog(path) -> list[Sku]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("not a JSON object")
                 attributes = record.get("attributes", [])
                 sku = Sku(
                     sku_id=record["sku_id"],

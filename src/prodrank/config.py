@@ -53,7 +53,7 @@ class RunConfig(TrainConfig):
             raise ValueError("need 0 < train_cut < val_cut <= 1")
         if self.sessions_min < 1 or self.sessions_max < self.sessions_min:
             raise ValueError("bad sessions_min/sessions_max range")
-        for key in ("dim", "n_q", "n_d", "users"):
+        for key in ("dim", "n_q", "n_d", "users", "months", "page_size", "max_queries"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.truncation_grid()

@@ -131,6 +131,8 @@ def run_eval(cfg: RunConfig, checkpoint_path, triples_path, catalog_path,
 
 def run_inspect(before_path, after_path, top_k: int = 10, log=None) -> MovementReport:
     """Embedding movement between two vector files."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     report = moved_word_pairs(load_vectors(before_path), load_vectors(after_path))
     _say(log, report.text(top_k=top_k))
     return report

@@ -255,7 +255,7 @@ def test_fd_catches_planted_bug(rng):
     assert finite_difference_check(graph) > 1e-2
 
 
-def test_fd_exercises_every_primitive(rng):
+def test_fd_exercises_every_primitive(rng, monkeypatch):
     # one composite graph touching conv, pooling, kernels-style exp/log
     # rows, copied contiguous so the checker's in-place perturbation reaches them
     x = Tensor(rng.normal(size=(3, 7)).T.copy(), requires_grad=True)
@@ -270,6 +270,38 @@ def test_fd_exercises_every_primitive(rng):
 
     graph = ComputeGraph(fn, [x, w, v])
     assert finite_difference_check(graph) <= 1e-6
+
+    # backward walks creation order: `s` feeds three later ops, the two
+    # branches are built alternately, and the output is not the last tensor
+    a = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+
+    def interleaved():
+        s = tanh(mul(a, b))
+        left = mul(s, a)
+        right = exp(mul(s, -0.5))
+        left = tanh(add(left, b))
+        right = mul(right, s)
+        out = asum(mul(left, right))
+        asum(mul(out, 2.0))
+        return out
+
+    graph = ComputeGraph(interleaved, [a, b])
+    assert finite_difference_check(graph) <= 1e-6
+
+    # each node's gradient is complete when it is popped, so no entry runs twice
+    from prodrank import autodiff
+
+    runs = []
+    make = autodiff._node
+
+    def counted(data, parents, backward):
+        out = make(data, parents, lambda g: (runs.append(id(out)), backward(g))[1])
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", counted)
+    interleaved().backward()
+    assert len(runs) == len(set(runs)) == 10
 
 
 def test_graph_reusable_after_parameter_update(rng):

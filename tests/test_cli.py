@@ -116,7 +116,10 @@ def test_bad_set_value_exits_one(tmp_path, capsys):
     (["pretrain", "--dim", "0"], "dim"),
     (["pretrain", "--set", "dim=0"], "dim"),
     (["simulate", "--users", "-5"], "users"),
-], ids=["dim-flag", "dim-set", "users-flag"])
+    (["simulate", "--set", "months=0"], "months"),
+    (["simulate", "--set", "page_size=0"], "page_size"),
+    (["simulate", "--set", "max_queries=0"], "max_queries"),
+], ids=["dim-flag", "dim-set", "users-flag", "months-set", "page-size-set", "max-queries-set"])
 def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key):
     write_catalog(tiny_catalog, tmp_path / "catalog.jsonl")
     inputs = ["--in", str(tmp_path / "catalog.jsonl")] if argv[0] == "pretrain" else []
@@ -128,7 +131,9 @@ def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key):
 @pytest.mark.parametrize("command, record", [
     ("pretrain", '{"sku_id": "A", "title": 5, "extra": "x"}'),
     ("extract", '{"clicks": [], "impressions": [["s1", 1]], "query": 5, "ts": 1, "user": "u"}'),
-], ids=["catalog", "log"])
+    ("pretrain", "[1, 2]"),
+    ("pretrain", "null"),
+], ids=["catalog", "log", "catalog-list", "catalog-null"])
 def test_badly_typed_record_exits_one(tmp_path, capsys, command, record):
     path = tmp_path / "input.jsonl"
     path.write_text(record + "\n")
@@ -205,6 +210,13 @@ def test_train_eval_inspect_round_trip(pipeline_dir, capsys):
     out = capsys.readouterr().out
     assert "From μ   To μ    Word Pairs" in out
     assert "decoupled" in out
+
+    for top_k in ("0", "-3"):
+        rc = main(["inspect-embeddings", "--before", str(d / "vectors.txt"),
+                   "--after", str(d / "tuned.txt"), "--top-k", top_k])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: top_k must be >= 1") and err.count("\n") == 1
 
 
 def test_eval_missing_checkpoint_exits_one(pipeline_dir, capsys):
