@@ -392,6 +392,9 @@ def read_log(path) -> list[SearchRequest]:
                 if not (isinstance(request.user, str) and isinstance(request.query, str)
                         and all(isinstance(sku, str) for sku, _ in request.impressions)):
                     raise TypeError("user, query and impression SKUs must be strings")
+                clicks = request.clicks
+                if clicks and not set(clicks) <= {rank for _, rank in request.impressions}:
+                    raise ValueError(f"clicks {clicks} include a rank that was not shown")
                 requests.append(request)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad log record ({e})") from None

@@ -1,13 +1,15 @@
 """Flat run configuration: ``key = value`` lines plus command-line
-overrides.  Every knob has a typed default, below or in ``TrainConfig``;
-unknown keys are rejected so typos fail loudly instead of silently
-running defaults.
+overrides.  Every knob has a typed default, below or in ``TrainConfig``,
+and every numeric one declares its valid range beside it, which
+``TrainConfig.__post_init__`` checks; unknown keys are rejected so typos
+fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
+from .clicksim import default_gamma
 from .training import TrainConfig
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -18,44 +20,43 @@ _FALSE = {"0", "false", "no", "off"}
 class RunConfig(TrainConfig):
     # training settings and ``seed``: inherited, so ``train`` takes a RunConfig as it is
     # simulation
-    users: int = 12000
-    catalog_size: int = 2000
-    stuffers_per_noun: int = 2
-    sessions_min: int = 1
-    sessions_max: int = 4
-    months: int = 8
-    page_size: int = 5
-    alpha1: float = 0.7
-    alpha2: float = 0.65
-    max_queries: int = 4
-    timeout: int = 1800
+    users: int = field(default=12000, metadata={"ge": 1})
+    catalog_size: int = field(default=2000, metadata={"ge": 1})
+    stuffers_per_noun: int = field(default=2, metadata={"ge": 0})
+    sessions_min: int = field(default=1, metadata={"ge": 1})
+    sessions_max: int = field(default=4, metadata={"ge": 1})
+    months: int = field(default=8, metadata={"ge": 1})
+    page_size: int = field(default=5, metadata={"ge": 1, "le": len(default_gamma())})
+    alpha1: float = field(default=0.7, metadata={"ge": 0, "le": 1})
+    alpha2: float = field(default=0.65, metadata={"ge": 0, "le": 1})
+    max_queries: int = field(default=4, metadata={"ge": 1})
+    timeout: int = field(default=1800, metadata={"ge": 1})
     # extraction / split
-    rho: int = 3
-    train_cut: float = 0.75   # fraction of the simulated span
-    val_cut: float = 0.875
+    rho: int = field(default=3, metadata={"ge": 1})
+    train_cut: float = field(default=0.75, metadata={"gt": 0})  # fraction of the simulated span
+    val_cut: float = field(default=0.875, metadata={"le": 1})
     # model
     architecture: str = "kernel_pooling"
-    dim: int = 50
-    n_q: int = 10
-    n_d: int = 64
+    dim: int = field(default=50, metadata={"ge": 1})
+    n_q: int = field(default=10, metadata={"ge": 1})
+    n_d: int = field(default=64, metadata={"ge": 1})
     linear: bool = False
     # pre-training
-    window: int = 5
-    negatives: int = 5
-    sg_epochs: int = 5
-    sg_lr: float = 0.025
+    window: int = field(default=5, metadata={"ge": 1})
+    negatives: int = field(default=5, metadata={"ge": 0})
+    sg_epochs: int = field(default=5, metadata={"ge": 0})
+    sg_lr: float = field(default=0.025, metadata={"gt": 0})
     # benchmark
     truncations: str = "64"   # comma list; the study grid is 32,64,128
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.train_cut < self.val_cut <= 1.0:
-            raise ValueError("need 0 < train_cut < val_cut <= 1")
-        if self.sessions_min < 1 or self.sessions_max < self.sessions_min:
-            raise ValueError("bad sessions_min/sessions_max range")
-        for key in ("dim", "n_q", "n_d", "users", "months", "page_size", "max_queries"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.train_cut >= self.val_cut:
+            raise ValueError(f"train_cut must be < val_cut, "
+                             f"got {self.train_cut} >= {self.val_cut}")
+        if self.sessions_max < self.sessions_min:
+            raise ValueError(f"sessions_max must be >= sessions_min, "
+                             f"got {self.sessions_max} < {self.sessions_min}")
         self.truncation_grid()
 
     def set(self, key: str, raw: str) -> None:

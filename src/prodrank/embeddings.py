@@ -111,6 +111,8 @@ def load_vectors(path) -> EmbeddingTable:
                 row = np.array([float(v) for v in parts[1:]])
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: unparsable vector entry ({e})") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite vector entry")
             if dim is None:
                 dim = row.size
                 if dim == 0:

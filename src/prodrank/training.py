@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,22 +69,29 @@ class Adam:
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+# a setting's declared bound, ``field(metadata={op: bound})``: op -> (symbol, test)
+_BOUNDS = {"ge": (">=", lambda v, b: v >= b), "gt": (">", lambda v, b: v > b),
+           "le": ("<=", lambda v, b: v <= b), "lt": ("<", lambda v, b: v < b)}
+
+
 @dataclass
 class TrainConfig:
-    lr: float = 1e-4
-    batch_size: int = 512
-    max_epochs: int = 20
-    patience: int = 2          # epochs of stalled validation loss before decay
-    lr_decay: float = 0.1
-    min_lr: float = 1e-6
+    lr: float = field(default=1e-4, metadata={"gt": 0})
+    batch_size: int = field(default=512, metadata={"ge": 1})
+    max_epochs: int = field(default=20, metadata={"ge": 0})
+    patience: int = field(default=2, metadata={"ge": 1})  # stalled validation epochs before decay
+    lr_decay: float = field(default=0.1, metadata={"gt": 0, "lt": 1})
+    min_lr: float = field(default=1e-6, metadata={"gt": 0})
     frozen: bool = False       # exclude the embedding table from updates
-    seed: int = 0
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        if self.lr <= 0 or self.min_lr <= 0 or not 0 < self.lr_decay < 1:
-            raise ValueError("learning-rate settings must be positive (decay in (0,1))")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
-            raise ValueError("batch_size/max_epochs/patience out of range")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for op, bound in f.metadata.items():
+                symbol, holds = _BOUNDS[op]
+                if not holds(value, bound):
+                    raise ValueError(f"{f.name} must be {symbol} {bound}, got {value}")
 
 
 @dataclass

@@ -8,15 +8,23 @@ refinement and the lone "oak table" session has no clickless prefix, so
 neither adds anything.
 """
 
+import contextlib
 import filecmp
+import io
+import json
+import os
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prodrank.autodiff import load_checkpoint
-from prodrank.catalog import write_catalog
+from prodrank.catalog import Sku, write_catalog
 from prodrank.cli import main
+from prodrank.config import RunConfig
 from prodrank.embeddings import load_vectors
 from prodrank.extraction import read_triples
 
@@ -112,20 +120,31 @@ def test_bad_set_value_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, key", [
-    (["pretrain", "--dim", "0"], "dim"),
-    (["pretrain", "--set", "dim=0"], "dim"),
-    (["simulate", "--users", "-5"], "users"),
-    (["simulate", "--set", "months=0"], "months"),
-    (["simulate", "--set", "page_size=0"], "page_size"),
-    (["simulate", "--set", "max_queries=0"], "max_queries"),
-], ids=["dim-flag", "dim-set", "users-flag", "months-set", "page-size-set", "max-queries-set"])
-def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key):
-    write_catalog(tiny_catalog, tmp_path / "catalog.jsonl")
-    inputs = ["--in", str(tmp_path / "catalog.jsonl")] if argv[0] == "pretrain" else []
+SYMBOL = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+# every declared bound of every setting, with a value just outside it
+OUTSIDE = [(f.name, op, bound + {"ge": -1, "gt": 0, "le": 1, "lt": 0}[op])
+           for f in fields(RunConfig) for op, bound in f.metadata.items()]
+
+
+@pytest.mark.parametrize("argv, key, op", [
+    (["pretrain", "--dim", "0"], "dim", "ge"),
+    (["pretrain", "--set", "dim=0"], "dim", "ge"),
+    (["simulate", "--users", "-5"], "users", "ge"),
+    (["simulate", "--set", "months=0"], "months", "ge"),
+    (["simulate", "--set", "page_size=0"], "page_size", "ge"),
+    (["simulate", "--set", "max_queries=0"], "max_queries", "ge"),
+    *[(["simulate", "--set", f"{key}={value}"], key, op) for key, op, value in OUTSIDE],
+], ids=["dim-flag", "dim-set", "users-flag", "months-set", "page-size-set", "max-queries-set",
+        *[f"{key}-{op}" for key, op, _ in OUTSIDE]])
+def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key, op):
+    bound = next(f.metadata[op] for f in fields(RunConfig) if f.name == key)
+    (tmp_path / "in").mkdir()
+    write_catalog(tiny_catalog, tmp_path / "in" / "catalog.jsonl")
+    inputs = ["--in", str(tmp_path / "in" / "catalog.jsonl")] if argv[0] == "pretrain" else []
     assert main([*argv, *inputs, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be >= 1") and err.count("\n") == 1
+    assert err.startswith(f"error: {key} must be {SYMBOL[op]} {bound}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]  # no stage wrote a file
 
 
 @pytest.mark.parametrize("command, record", [
@@ -133,7 +152,8 @@ def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key):
     ("extract", '{"clicks": [], "impressions": [["s1", 1]], "query": 5, "ts": 1, "user": "u"}'),
     ("pretrain", "[1, 2]"),
     ("pretrain", "null"),
-], ids=["catalog", "log", "catalog-list", "catalog-null"])
+    ("extract", '{"clicks": [99], "impressions": [["s1", 1]], "query": "q", "ts": 1, "user": "u"}'),
+], ids=["catalog", "log", "catalog-list", "catalog-null", "log-unshown-click"])
 def test_badly_typed_record_exits_one(tmp_path, capsys, command, record):
     path = tmp_path / "input.jsonl"
     path.write_text(record + "\n")
@@ -287,3 +307,109 @@ def test_eval_unknown_sku_exits_one(pipeline_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "doc_tokens missing 1 skus" in err
+
+
+# ---------------------------------------------------------------------------
+# damage sweep: every artifact a stage reads, cut short or mangled
+# ---------------------------------------------------------------------------
+
+COMPAT = DATA / "compat"
+# the micro log's SKUs, titled in the compat vector file's words
+MICRO_CATALOG = [Sku(f"s{i}", title, "", title.split()[-1]) for i, title in enumerate(
+    ["red oak chair", "blue pine table", "green sofa", "red chair", "oak table", "pine sofa"],
+    start=1)]
+READERS = {  # artifact -> the stages that read it
+    "catalog": ("pretrain", "train", "eval"),
+    "log": ("extract",),
+    "triples": ("train", "eval"),
+    "vectors": ("train", "eval", "inspect-embeddings"),
+    "checkpoint": ("eval",),
+}
+
+
+def _stage_argv(stage: str, p: dict) -> list[str]:
+    return {
+        "pretrain": ["pretrain", "--set", "dim=4", "--set", "sg_epochs=1",
+                     "--in", p["catalog"], "--out", p["out"]],
+        "extract": ["extract", "--in", p["log"], "--out", p["out"]],
+        "train": ["train", "--set", "max_epochs=1", "--nd", "6", "--train", p["triples"],
+                  "--val", p["triples"], "--catalog", p["catalog"],
+                  "--vectors", p["vectors"], "--out", p["out"]],
+        "eval": ["eval", "--checkpoint", p["checkpoint"], "--triples", p["triples"],
+                 "--catalog", p["catalog"], "--vectors", p["vectors"]],
+        "inspect-embeddings": ["inspect-embeddings", "--before", p["vectors"],
+                               "--after", p["vectors"]],
+    }[stage]
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """One intact copy of each artifact, and proof that every stage
+    reading them exits 0."""
+    d = tmp_path_factory.mktemp("intact")
+    write_catalog(MICRO_CATALOG, d / "catalog.jsonl")
+    paths = {"catalog": d / "catalog.jsonl", "log": MICRO_LOG, "triples": d / "triples.tsv",
+             "vectors": COMPAT / "vectors.txt", "checkpoint": COMPAT / "kernel_pooling.ckpt"}
+    assert _run_quietly(["extract", "--in", str(MICRO_LOG), "--out", str(paths["triples"])])[0] == 0
+    blobs = {name: path.read_bytes() for name, path in paths.items()}
+    for stage in {s for stages in READERS.values() for s in stages}:
+        argv = _stage_argv(stage, {**{k: str(v) for k, v in paths.items()}, "out": str(d / "out")})
+        assert _run_quietly(argv) == (0, ""), stage
+    return blobs
+
+
+NOT_OBJECTS = ["[1, 2]", "null", "5", '"text"', "garbage", "a\tb"]
+OTHER_TYPES = [5, 1.5, "x", "", True, None, [1], {"a": 1}]
+
+
+@st.composite
+def damaged(draw, blob: bytes, artifact: str) -> bytes:
+    kind = draw(st.sampled_from(["cut", "retype", "not-object"]))
+    if kind == "cut":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if artifact == "checkpoint":  # binary: overwrite one byte of a field, or append a line
+        if kind == "not-object":
+            return blob + draw(st.sampled_from(NOT_OBJECTS)).encode() + b"\n"
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+    lines = blob.decode("utf-8").splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "not-object":
+        lines.insert(i, draw(st.sampled_from(NOT_OBJECTS)))
+    elif artifact in ("catalog", "log"):
+        record = json.loads(lines[i])
+        key = draw(st.sampled_from(sorted(record)))
+        others = [v for v in OTHER_TYPES if type(v) is not type(record[key])]
+        record[key] = draw(st.sampled_from(others))
+        lines[i] = json.dumps(record)
+    else:
+        sep = "\t" if artifact == "triples" else " "
+        parts = lines[i].split(sep)
+        j = draw(st.integers(0, len(parts) - 1))
+        parts[j] = draw(st.sampled_from(["x", "1.5", "-1", "nan", "inf", "[]", ""]))
+        lines[i] = sep.join(parts)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.data())
+def test_damaged_artifact_exits_zero_or_one(intact, case):
+    artifact = case.draw(st.sampled_from(sorted(READERS)), label="artifact")
+    stage = case.draw(st.sampled_from(READERS[artifact]), label="stage")
+    blob = case.draw(damaged(intact[artifact], artifact), label="damaged")
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in (*READERS, "out")}
+        for name, data in intact.items():
+            with open(paths[name], "wb") as f:
+                f.write(blob if name == artifact else data)
+        code, err = _run_quietly(_stage_argv(stage, paths))
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -1,5 +1,7 @@
 """Run configuration parsing and overrides."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from prodrank.config import RunConfig
@@ -56,6 +58,22 @@ def test_validation():
             RunConfig(**{key: 0})
 
 
+def test_every_numeric_setting_declares_a_bound():
+    # a new int or float setting cannot skip the range check
+    numeric = [f for f in fields(RunConfig) if f.type in ("int", "float")]
+    assert len(numeric) > 20
+    assert [f.name for f in numeric if not f.metadata] == []
+    assert {op for f in numeric for op in f.metadata} <= {"ge", "gt", "le", "lt"}
+
+
+def test_bounds_checked_on_every_path():
+    for build in (lambda: RunConfig(timeout=0),
+                  lambda: replace(RunConfig(), timeout=0),
+                  lambda: RunConfig.load(None, ("timeout=0",))):
+        with pytest.raises(ValueError, match="^timeout must be >= 1, got 0$"):
+            build()
+
+
 def test_truncation_grid_parses_comma_list():
     cfg = RunConfig(truncations="32,64,128")
     assert cfg.truncation_grid() == [32, 64, 128]
@@ -104,7 +122,7 @@ def test_load_revalidates_after_overrides():
 
 
 def test_training_settings_validated_at_load():
-    with pytest.raises(ValueError, match="learning-rate"):
+    with pytest.raises(ValueError, match="lr must be > 0, got 0.0"):
         RunConfig.load(None, ("lr=0",))
 
 

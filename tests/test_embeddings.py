@@ -155,9 +155,10 @@ def test_vector_file_dim_mismatch(tmp_path):
 
 def test_vector_file_bad_number(tmp_path):
     p = tmp_path / "vec.txt"
-    p.write_text("a 1.0 oops\n")
-    with pytest.raises(ValueError, match="vec.txt:1"):
-        load_vectors(p)
+    for bad in ("oops", "nan", "inf", "-inf"):
+        p.write_text(f"a 1.0 {bad}\n")
+        with pytest.raises(ValueError, match="vec.txt:1"):
+            load_vectors(p)
 
 
 def test_vector_file_empty(tmp_path):

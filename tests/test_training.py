@@ -148,13 +148,13 @@ def test_adam_requires_parameters():
 
 def test_train_config_validation():
     TrainConfig()  # defaults are legal
-    with pytest.raises(ValueError, match="learning-rate"):
+    with pytest.raises(ValueError, match="lr must be > 0, got 0.0"):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError, match="learning-rate"):
+    with pytest.raises(ValueError, match="lr_decay must be < 1, got 1.0"):
         TrainConfig(lr_decay=1.0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="patience must be >= 1, got 0"):
         TrainConfig(patience=0)
 
 
