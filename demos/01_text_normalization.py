@@ -36,15 +36,13 @@ os.unlink(rules_path)
 print("\n== custom rewrite rules ==")
 print(f"  'Grey Colour Settee' -> {normalize('Grey Colour Settee', rules=rules)}")
 
-# A vocabulary assigns dense ids in first-seen order and tracks document
-# frequency, which gives the idf used by the lexical baseline.
+# A vocabulary tracks document frequency, which gives the idf used by the
+# lexical baseline.
 docs = [normalize(t) for t in [
     "red oak chair", "blue oak chair", "red pine table", "oak bookshelf",
 ]]
 vocab = build_vocabulary(docs)
 print("\n== vocabulary over four tiny documents ==")
 for token in ["oak", "chair", "red", "bookshelf"]:
-    print(f"  {token:10} id {vocab.id_of(token):2d}  df {vocab.doc_freq[token]}  "
-          f"idf {vocab.idf(token):.4f}")
-print(f"  {'plastic':10} id {vocab.id_of('plastic')}  (unknown -> no id, idf "
-      f"{vocab.idf('plastic')})")
+    print(f"  {token:10} df {vocab.doc_freq[token]}  idf {vocab.idf(token):.4f}")
+print(f"  {'plastic':10} (unknown -> idf {vocab.idf('plastic')})")

@@ -22,7 +22,7 @@ table = train_skipgram(corpus, dim=16, window=2, negatives=4, epochs=8, seed=3)
 table = unit_normalize(table)
 
 def cos(a, b):
-    return float(table.vector(a) @ table.vector(b))
+    return float(table.vectors[table.id_of(a)] @ table.vectors[table.id_of(b)])
 
 print("== cosine similarity after skip-gram ==")
 print(f"  (red, oak)     co-occur:   {cos('red', 'oak'):+.3f}")
@@ -32,11 +32,12 @@ assert cos("red", "oak") > cos("red", "lamp")
 
 # Sequence embedding: fixed number of rows, truncation past the limit,
 # zero rows for padding and unknown tokens.
-e = embed_sequence(["red", "mystery", "oak"], 5, table)
+e = embed_sequence(["red", "mystery", "oak"], 5, table).data
 print("\n== embed_sequence(['red', 'mystery', 'oak'], 5 positions) ==")
-print(f"  matrix shape {e.matrix.data.shape}, real tokens {e.n_real}")
-print(f"  row 1 (unknown token) is zero: {not e.matrix.data[:, 1].any()}")
-print(f"  rows 3-4 (padding) are zero:   {not e.matrix.data[:, 3:].any()}")
+print(f"  matrix shape {e.shape}, one token vector per row")
+print(f"  row 1 (unknown token) is zero: {not e[1].any()}")
+print(f"  rows 3-4 (padding) are zero:   {not e[3:].any()}")
+assert not e[1].any() and not e[3:].any()
 
 # Vectors persist as one `token v1 ... vk` line each, full precision.
 import tempfile, os

@@ -9,11 +9,12 @@ cacheable.
 
 import numpy as np
 
-from prodrank.embeddings import EmbeddingTable, unit_normalize
+from prodrank.autodiff import dot
+from prodrank.embeddings import EmbeddingTable, embed_sequence, unit_normalize
 from prodrank.models import (
+    InteractionMatrix,
     default_kernel_bank,
     distributed_encode,
-    interaction_matrix,
     kernel_features,
     make_scorer,
 )
@@ -45,8 +46,8 @@ for arch in ("tfidf", "kernel_pooling", "siamese", "dssm_like", "hybrid_local"):
 
 # Kernel pooling's features: each RBF kernel counts soft matches at one
 # similarity level, so an exact-match query token lights up the mu=1 kernel.
-scorer = make_scorer("kernel_pooling", table=table, n_q=4, n_d=8)
-m = interaction_matrix(scorer._embed(query, 4), scorer._embed(docs["sku1"], 8))
+m = InteractionMatrix(dot(embed_sequence(query, 4, table), embed_sequence(docs["sku1"], 8, table)),
+                      len(query))
 phi = kernel_features(m, default_kernel_bank()).data.reshape(-1)
 print("\n== kernel features for (red chair, red oak chair) ==")
 for mu, value in zip(default_kernel_bank().means, phi):

@@ -32,6 +32,7 @@ from .text import Tokens, build_vocabulary, normalize
 SIGMA_RELEVANT = 0.95
 SIGMA_IRRELEVANT = 0.05
 DEFAULT_TIMEOUT = 1800  # seconds of inactivity that ends a session
+SECONDS_PER_MONTH = 30 * 86400  # sessions start in [0, months * SECONDS_PER_MONTH)
 
 
 def default_gamma(n_ranks: int = 10) -> np.ndarray:
@@ -277,7 +278,6 @@ def generate_clicklog(
     months: int = 8,
     timeout: int = DEFAULT_TIMEOUT,
     page_size: int = 5,
-    retriever: TfIdfRetriever | None = None,
 ) -> list[Session]:
     """Simulate ``n_users`` users over a ``months``-long window.
 
@@ -291,9 +291,8 @@ def generate_clicklog(
         raise ValueError("cannot simulate against an empty catalog")
     if params is None:
         params = SimulationParams()
-    if retriever is None:
-        retriever = TfIdfRetriever(catalog, n_ranks=page_size)
-    span = months * 30 * 86400
+    retriever = TfIdfRetriever(catalog, n_ranks=page_size)
+    span = months * SECONDS_PER_MONTH
     alpha_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA1FA)))
     sku_alpha = dict(zip((s.sku_id for s in catalog), alpha_rng.uniform(0.2, 0.9, len(catalog))))
     title_tokens = {s.sku_id: s.title_tokens() for s in catalog}
@@ -374,6 +373,13 @@ def write_log(requests: list[SearchRequest], path) -> None:
             )
 
 
+def _exact_int(value) -> int:
+    """``value`` itself when it is an int; floats, strings and bools are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def read_log(path) -> list[SearchRequest]:
     requests = []
     with open(path, encoding="utf-8") as f:
@@ -383,11 +389,11 @@ def read_log(path) -> list[SearchRequest]:
             try:
                 rec = json.loads(line)
                 request = SearchRequest(
-                    timestamp=int(rec["ts"]),
+                    timestamp=_exact_int(rec["ts"]),
                     user=rec["user"],
                     query=rec["query"],
-                    impressions=[(sku, int(rank)) for sku, rank in rec["impressions"]],
-                    clicks=[int(r) for r in rec["clicks"]],
+                    impressions=[(sku, _exact_int(rank)) for sku, rank in rec["impressions"]],
+                    clicks=[_exact_int(r) for r in rec["clicks"]],
                 )
                 if not (isinstance(request.user, str) and isinstance(request.query, str)
                         and all(isinstance(sku, str) for sku, _ in request.impressions)):

@@ -40,30 +40,14 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int:
         """Row index of a token, -1 when unknown."""
         return self._ids.get(token, -1)
 
-    def vector(self, token: str) -> np.ndarray:
-        i = self.id_of(token)
-        return self.vectors[i] if i >= 0 else np.zeros(self.dim)
-
-
-@dataclass
-class LocalEmbedding:
-    """A token sequence as an (N, dim) matrix: one vector per row, zero
-    rows past ``n_real``."""
-
-    matrix: Tensor
-    n_real: int
-
 
 def embed_sequence(
     tokens: list[str], n_positions: int, table: EmbeddingTable, param: Tensor | None = None
-) -> LocalEmbedding:
+) -> Tensor:
     """Embed ``tokens`` into a fixed-length (n_positions, dim) matrix.
 
     The sequence is truncated to ``n_positions`` rows; shorter sequences
@@ -75,10 +59,9 @@ def embed_sequence(
     if n_positions < 1:
         raise ValueError(f"n_positions must be >= 1, got {n_positions}")
     ids = np.full(n_positions, -1, dtype=np.int64)
-    n_real = min(len(tokens), n_positions)
-    for j in range(n_real):
+    for j in range(min(len(tokens), n_positions)):
         ids[j] = table.id_of(tokens[j])
-    return LocalEmbedding(gather_rows(table.vectors if param is None else param, ids), n_real)
+    return gather_rows(table.vectors if param is None else param, ids)
 
 
 def unit_normalize(table: EmbeddingTable) -> EmbeddingTable:

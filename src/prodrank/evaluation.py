@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, unit_normalize
 from .extraction import TrainingTriple
 from .models import Scorer, default_kernel_bank
 from .text import Tokens, normalize  # noqa: F401  (bench/tracing.py wraps it here)
@@ -53,12 +53,6 @@ def pairwise_error_rate(
         base_rate = float(baseline)
     rel = 100.0 * rate / base_rate if base_rate > 0 else (0.0 if rate == 0 else float("inf"))
     return ErrorRateReport(errors, len(triples), rate, base_rate, rel)
-
-
-def _cosine_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return vectors / safe
 
 
 @dataclass
@@ -122,14 +116,20 @@ def moved_word_pairs(
         raise ValueError("need at least two bin centers")
 
     n = len(table_before.tokens)
-    pairs = list(combinations(range(n), 2))
-    if len(pairs) > max_pairs:
+    n_pairs = n * (n - 1) // 2
+    if n_pairs > max_pairs:
         rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[int(k)] for k in np.sort(keep)]
+        keep = np.sort(rng.choice(n_pairs, size=max_pairs, replace=False))
+        # map index k to the k-th pair in combinations order
+        row = np.arange(n)
+        starts = row * (2 * n - row - 1) // 2  # index of pair (i, i + 1)
+        i = np.searchsorted(starts, keep, side="right") - 1
+        pairs = zip(i.tolist(), (keep - starts[i] + i + 1).tolist())
+    else:
+        pairs = combinations(range(n), 2)
 
-    before = _cosine_rows(table_before.vectors)
-    after = _cosine_rows(table_after.vectors)
+    before = unit_normalize(table_before).vectors
+    after = unit_normalize(table_after).vectors
     moves: list[PairMove] = []
     decoupled = coupled = 0
     for i, j in pairs:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .embeddings import EmbeddingTable, LocalEmbedding, embed_sequence
+from .embeddings import EmbeddingTable, embed_sequence
 from .text import Vocabulary
 
 
@@ -37,8 +37,12 @@ class KernelBank:
         self.widths = np.asarray(self.widths, dtype=np.float64)
         if self.means.ndim != 1 or self.means.shape != self.widths.shape or self.means.size < 1:
             raise ValueError("kernel bank needs matching nonempty mean/width lists")
-        if np.any(self.widths <= 0):
-            raise ValueError("kernel widths must be positive")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.widths).all()):
+            raise ValueError("kernel means and widths must be finite")
+        # below the smallest normal float, 1 / (2 width^2) overflows and an
+        # exact match scores 0 * -inf = nan
+        if np.any(self.widths <= 0) or np.any(2.0 * self.widths**2 < np.finfo(np.float64).tiny):
+            raise ValueError("kernel widths must be positive, with 2 * width**2 a normal float")
         if np.any(np.diff(self.means) >= 0):
             raise ValueError("kernel means must be strictly decreasing")
 
@@ -60,15 +64,6 @@ class InteractionMatrix:
 
     values: Tensor
     n_q_real: int
-
-
-def interaction_matrix(q: LocalEmbedding, d: LocalEmbedding) -> InteractionMatrix:
-    """All pairwise dot products between query and document token vectors."""
-    if q.matrix.shape[1] != d.matrix.shape[1]:
-        raise ValueError(
-            f"embedding dimensions differ: query {q.matrix.shape[1]} vs document {d.matrix.shape[1]}"
-        )
-    return InteractionMatrix(ad.dot(q.matrix, d.matrix), q.n_real)
 
 
 def kernel_features(m: InteractionMatrix, bank: KernelBank) -> Tensor:
@@ -172,7 +167,7 @@ class _EmbeddingScorer(Scorer):
         """Current (possibly trained) vectors as a fresh table."""
         return EmbeddingTable(list(self.table.tokens), self.embedding.data.copy())
 
-    def _embed(self, tokens: list[str], n_positions: int) -> LocalEmbedding:
+    def _embed(self, tokens: list[str], n_positions: int) -> Tensor:
         return embed_sequence(tokens, n_positions, self.table, self.embedding)
 
     def _mlp_layer(self, w: Tensor, b: Tensor, x: Tensor, final: bool = False) -> Tensor:
@@ -220,7 +215,8 @@ class KernelPoolingScorer(_EmbeddingScorer):
     def score_graph(self, q_tokens, d_tokens) -> Tensor:
         q = self._embed(q_tokens, self.n_q)
         d = self._embed(d_tokens, self.n_d)
-        phi = kernel_features(interaction_matrix(q, d), self.bank)
+        m = InteractionMatrix(ad.dot(q, d), min(len(q_tokens), self.n_q))
+        phi = kernel_features(m, self.bank)
         h = self._mlp_layer(self.w, self.b, ad.reshape(phi, (len(self.bank), 1)), final=self.linear)
         return ad.reshape(h, ())
 
@@ -257,7 +253,7 @@ class SiameseScorer(_EmbeddingScorer):
     def encode_graph(self, tokens: list[str]) -> Tensor:
         # both sides use the document width so the encoder is side-agnostic
         e = self._embed(tokens, self.n_d)
-        v = self._mlp_layer(self.w1, self.b1, self._conv_pool(e.matrix))
+        v = self._mlp_layer(self.w1, self.b1, self._conv_pool(e))
         return ad.reshape(v, (self.out_dim,))
 
     def encode(self, tokens: list[str]) -> np.ndarray:
@@ -301,7 +297,7 @@ class DssmScorer(_EmbeddingScorer):
 
     def encode_graph(self, tokens: list[str]) -> Tensor:
         e = self._embed(tokens, self.n_d)
-        s = ad.reshape(ad.asum(e.matrix, axis=0), (self.table.dim, 1))
+        s = ad.reshape(ad.asum(e, axis=0), (self.table.dim, 1))
         h = self._mlp_layer(self.w1, self.b1, s)
         h = self._mlp_layer(self.w2, self.b2, h)
         v = self._mlp_layer(self.w3, self.b3, h)
@@ -349,7 +345,7 @@ class HybridLocalScorer(_EmbeddingScorer):
         q = self._embed(q_tokens, self.n_q)
         d = self._embed(d_tokens, self.n_d)
         # document positions are the rows, query positions the conv features
-        out = self._mlp_layer(self.w, self.b, self._conv_pool(ad.dot(d.matrix, q.matrix)))
+        out = self._mlp_layer(self.w, self.b, self._conv_pool(ad.dot(d, q)))
         return ad.reshape(out, ())
 
 

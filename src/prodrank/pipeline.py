@@ -59,7 +59,7 @@ def run_extract(cfg: RunConfig, log_path, out_path, split_dir=None, log=None) ->
     info = {"triples": len(triples), "stats_line": stats_line}
     if split_dir is not None:
         os.makedirs(split_dir, exist_ok=True)
-        span = cfg.months * 30 * 86400
+        span = cfg.months * cs.SECONDS_PER_MONTH
         split = ex.temporal_split(
             triples,
             ex.SplitSpec(int(cfg.train_cut * span), int(cfg.val_cut * span)),

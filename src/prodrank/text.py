@@ -75,24 +75,11 @@ def normalize(raw: str, rules: list[tuple[re.Pattern, str]] | None = None) -> To
 
 @dataclass
 class Vocabulary:
-    """Token ids plus document-frequency statistics over a corpus.
+    """Document-frequency statistics over a corpus: ``doc_freq`` counts
+    the number of *distinct* documents containing a token."""
 
-    Ids are dense ``0..len(vocab)-1``; ``doc_freq`` counts the number of
-    *distinct* documents containing a token.
-    """
-
-    token_ids: dict[str, int]
     doc_freq: dict[str, int]
     n_docs: int
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_ids
-
-    def id_of(self, token: str) -> int | None:
-        return self.token_ids.get(token)
 
     def idf(self, token: str) -> float:
         """Inverse document frequency, ``ln(n_docs / doc_freq)``.
@@ -106,18 +93,14 @@ class Vocabulary:
 
 
 def build_vocabulary(corpus: list[Tokens]) -> Vocabulary:
-    """Assign ids (in first-seen order) and count document frequencies.
+    """Count document frequencies.
 
     Raises ValueError on an empty corpus.
     """
     if not corpus:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    token_ids: dict[str, int] = {}
     doc_freq: dict[str, int] = {}
     for doc in corpus:
-        for token in doc:
-            if token not in token_ids:
-                token_ids[token] = len(token_ids)
         for token in set(doc):
             doc_freq[token] = doc_freq.get(token, 0) + 1
-    return Vocabulary(token_ids=token_ids, doc_freq=doc_freq, n_docs=len(corpus))
+    return Vocabulary(doc_freq=doc_freq, n_docs=len(corpus))

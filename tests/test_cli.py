@@ -153,7 +153,12 @@ def test_size_below_one_exits_one(tmp_path, capsys, tiny_catalog, argv, key, op)
     ("pretrain", "[1, 2]"),
     ("pretrain", "null"),
     ("extract", '{"clicks": [99], "impressions": [["s1", 1]], "query": "q", "ts": 1, "user": "u"}'),
-], ids=["catalog", "log", "catalog-list", "catalog-null", "log-unshown-click"])
+    ("extract", '{"clicks": [], "impressions": [["s1", 1]], "query": "q", "ts": 100.9, "user": "u"}'),
+    ("extract", '{"clicks": [], "impressions": [["s1", 1]], "query": "q", "ts": "200", "user": "u"}'),
+    ("extract", '{"clicks": [], "impressions": [["s1", "1"]], "query": "q", "ts": 1, "user": "u"}'),
+    ("extract", '{"clicks": [true], "impressions": [["s1", 1]], "query": "q", "ts": 1, "user": "u"}'),
+], ids=["catalog", "log", "catalog-list", "catalog-null", "log-unshown-click", "log-float-ts",
+        "log-string-ts", "log-string-rank", "log-bool-click"])
 def test_badly_typed_record_exits_one(tmp_path, capsys, command, record):
     path = tmp_path / "input.jsonl"
     path.write_text(record + "\n")

@@ -26,9 +26,8 @@ def table():
 def test_table_lookup(table):
     assert table.dim == 2
     assert len(table) == 3
-    assert "oak" in table and "pine" not in table
-    assert np.array_equal(table.vector("oak"), [0.0, 1.0])
-    assert np.array_equal(table.vector("pine"), [0.0, 0.0])
+    assert table.id_of("oak") == 1
+    assert np.array_equal(table.vectors[table.id_of("oak")], [0.0, 1.0])
     assert table.id_of("pine") == -1
 
 
@@ -49,29 +48,27 @@ def test_table_duplicate_token_rejected():
 
 def test_empty_sequence_is_all_padding(table):
     emb = embed_sequence([], 3, table)
-    assert emb.n_real == 0
-    assert emb.matrix.data.shape == (3, 2)
-    assert np.all(emb.matrix.data == 0.0)
+    assert emb.data.shape == (3, 2)
+    assert np.all(emb.data == 0.0)
 
 
 def test_truncation_to_n_positions(table):
     emb = embed_sequence(["red", "oak", "chair", "red", "oak"], 3, table)
-    assert emb.n_real == 3
-    assert np.array_equal(emb.matrix.data[0], [1.0, 0.0])
-    assert np.array_equal(emb.matrix.data[2], [1.0, 1.0])
+    assert emb.data.shape == (3, 2)
+    assert np.array_equal(emb.data[0], [1.0, 0.0])
+    assert np.array_equal(emb.data[2], [1.0, 1.0])
 
 
 def test_padding_after_single_token(table):
     emb = embed_sequence(["chair"], 3, table)
-    assert emb.n_real == 1
-    assert np.array_equal(emb.matrix.data, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(emb.data, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_oov_token_embeds_to_zero_column(table):
     emb = embed_sequence(["red", "mystery", "oak"], 4, table)
-    assert emb.n_real == 3
-    assert np.all(emb.matrix.data[1] == 0.0)
-    assert np.all(emb.matrix.data[3] == 0.0)  # padding looks the same
+    assert np.array_equal(emb.data[2], [0.0, 1.0])
+    assert np.all(emb.data[1] == 0.0)
+    assert np.all(emb.data[3] == 0.0)  # padding looks the same
 
 
 def test_bad_n_positions_rejected(table):
@@ -81,13 +78,13 @@ def test_bad_n_positions_rejected(table):
 
 def test_embed_never_nan(table):
     emb = embed_sequence(["red", "??", ""], 5, table)
-    assert np.all(np.isfinite(emb.matrix.data))
+    assert np.all(np.isfinite(emb.data))
 
 
 def test_differentiable_path_reaches_table(table):
     param = Tensor(table.vectors.copy(), requires_grad=True)
     emb = embed_sequence(["oak", "oov"], 2, table, param=param)
-    asum(emb.matrix).backward()
+    asum(emb).backward()
     assert param.grad is not None
     assert np.array_equal(param.grad[1], [1.0, 1.0])  # oak row
     assert np.all(param.grad[0] == 0.0)  # untouched rows stay zero
@@ -183,8 +180,9 @@ def test_skipgram_cooccurrence_ordering():
     # x and y always together, z always alone -> cos(x,y) > cos(x,z)
     corpus = [["x", "y"]] * 80 + [["z", "w"]] * 80
     t = unit_normalize(train_skipgram(corpus, dim=8, epochs=10, seed=3))
-    cos_xy = float(t.vector("x") @ t.vector("y"))
-    cos_xz = float(t.vector("x") @ t.vector("z"))
+    x, y, z = (t.vectors[t.id_of(token)] for token in "xyz")
+    cos_xy = float(x @ y)
+    cos_xz = float(x @ z)
     assert cos_xy > cos_xz
 
 

@@ -1,6 +1,8 @@
 """Error-rate reporting and embedding-movement analysis."""
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -204,6 +206,43 @@ def test_pair_sampling_is_deterministic(rng):
     assert r1.moves == r2.moves
     assert r1.decoupled == r2.decoupled and r1.coupled == r2.coupled
     assert len(r1.moves) <= 100
+
+
+def test_sampled_pairs_follow_combinations_order(rng):
+    # sample indices into the list of all pairs in combinations order,
+    # then keep the pairs that changed bins, largest shift first
+    tokens = [f"t{i}" for i in range(40)]
+    b = rng.standard_normal((40, 6))
+    a = b + 0.8 * rng.standard_normal((40, 6))
+    rep = moved_word_pairs(_table(tokens, b), _table(tokens, a), max_pairs=150, seed=7)
+    pairs = list(combinations(range(40), 2))
+    keep = np.sort(np.random.default_rng(7).choice(len(pairs), size=150, replace=False))
+    ub = b / np.linalg.norm(b, axis=1, keepdims=True)
+    ua = a / np.linalg.norm(a, axis=1, keepdims=True)
+    centers = np.array(sorted(set(float(m) for m in default_kernel_bank().means)))
+    snap = lambda c: centers[np.argmin(np.abs(centers - c))]
+    want = []
+    for k in keep:
+        i, j = pairs[k]
+        cb, ca = float(ub[i] @ ub[j]), float(ua[i] @ ua[j])
+        if snap(cb) != snap(ca):
+            want.append((tokens[i], tokens[j], cb, ca))
+    want.sort(key=lambda m: -abs(m[3] - m[2]))
+    assert len(want) > 20
+    assert [(m.token_a, m.token_b, m.cos_before, m.cos_after) for m in rep.moves] == want
+
+
+def test_pair_sampling_memory_independent_of_all_pairs(rng):
+    # 1,500 tokens have 1,124,250 pairs; listing them all peaked at 69 MB
+    tokens = [f"t{i}" for i in range(1500)]
+    t = _table(tokens, rng.standard_normal((1500, 8)))
+    tracemalloc.start()
+    try:
+        moved_word_pairs(t, t, max_pairs=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_moves_sorted_by_shift_magnitude(rng):

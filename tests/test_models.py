@@ -7,14 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prodrank.autodiff import ComputeGraph, LOG_FLOOR, finite_difference_check, load_checkpoint
+from prodrank.autodiff import (
+    LOG_FLOOR,
+    ComputeGraph,
+    dot,
+    finite_difference_check,
+    load_checkpoint,
+    save_checkpoint,
+)
 from prodrank.embeddings import EmbeddingTable, embed_sequence, load_vectors, unit_normalize
 from prodrank.models import (
+    InteractionMatrix,
     KernelBank,
     TfIdfScorer,
     default_kernel_bank,
     distributed_encode,
-    interaction_matrix,
     kernel_features,
     load_scorer,
     make_scorer,
@@ -33,49 +40,52 @@ def unit_table(tokens, dim, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Interaction matrix
+# Interaction matrix: dot products of embedded query and document rows
 # ---------------------------------------------------------------------------
 
 
+def interaction(q, d, t, n_q, n_d):
+    return dot(embed_sequence(q, n_q, t), embed_sequence(d, n_d, t)).data
+
+
 def test_interaction_self_similarity_is_one():
-    t = unit_table(["a"], 4)
-    q = embed_sequence(["a"], 1, t)
-    d = embed_sequence(["a"], 1, t)
-    m = interaction_matrix(q, d)
-    assert m.values.data.shape == (1, 1)
-    assert m.values.data[0, 0] == pytest.approx(1.0)
+    m = interaction(["a"], ["a"], unit_table(["a"], 4), 1, 1)
+    assert m.shape == (1, 1)
+    assert m[0, 0] == pytest.approx(1.0)
 
 
 def test_interaction_orthogonal_is_zero():
     t = EmbeddingTable(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-    m = interaction_matrix(embed_sequence(["a"], 1, t), embed_sequence(["b"], 1, t))
-    assert m.values.data[0, 0] == 0.0
+    assert interaction(["a"], ["b"], t, 1, 1)[0, 0] == 0.0
 
 
-def test_interaction_padding_rows_zero():
+def test_interaction_padding_rows_zero(rng):
     t = unit_table(["a", "b", "c"], 5)
-    q = embed_sequence(["a", "b"], 4, t)
-    d = embed_sequence(["c", "a", "b"], 6, t)
-    m = interaction_matrix(q, d)
-    assert m.n_q_real == 2
-    assert np.all(m.values.data[2:, :] == 0.0)
-    assert np.all(m.values.data[:, 3:] == 0.0)
+    m = interaction(["a", "b"], ["c", "a", "b"], t, 4, 6)
+    assert np.all(m[2:, :] == 0.0)
+    assert np.all(m[:, 3:] == 0.0)
+    # the kernel scorer pools only the real query rows, at most n_q of them
+    s = make_scorer("kernel_pooling", table=t, n_q=4, n_d=6)
+    s.w.data = rng.normal(size=s.w.data.shape)
+    for q in (["a", "b"], ["a", "b", "c", "a", "b", "c"]):
+        m = InteractionMatrix(dot(embed_sequence(q, 4, t), embed_sequence(["c", "a"], 6, t)),
+                              min(len(q), 4))
+        want = np.tanh(s.w.data @ kernel_features(m, s.bank).data + s.b.data).item()
+        assert s.score(q, ["c", "a"]) == pytest.approx(want, abs=1e-15)
 
 
 def test_interaction_dim_mismatch():
     a = EmbeddingTable(["a"], np.ones((1, 3)))
     b = EmbeddingTable(["a"], np.ones((1, 4)))
-    with pytest.raises(ValueError, match="dimensions differ"):
-        interaction_matrix(embed_sequence(["a"], 1, a), embed_sequence(["a"], 1, b))
+    with pytest.raises(ValueError, match="do not pair"):
+        dot(embed_sequence(["a"], 1, a), embed_sequence(["a"], 1, b))
 
 
 def test_interaction_entries_bounded_for_unit_vectors(rng):
     t = unit_table([f"t{i}" for i in range(12)], 6, seed=2)
     toks = [f"t{i}" for i in range(12)]
     for _ in range(20):
-        q = embed_sequence(list(rng.choice(toks, 3)), 4, t)
-        d = embed_sequence(list(rng.choice(toks, 7)), 8, t)
-        m = interaction_matrix(q, d).values.data
+        m = interaction(list(rng.choice(toks, 3)), list(rng.choice(toks, 7)), t, 4, 8)
         assert np.all(m >= -1.0 - 1e-6) and np.all(m <= 1.0 + 1e-6)
 
 
@@ -99,6 +109,18 @@ def test_bank_validation():
         KernelBank(np.array([0.5, 0.3]), np.array([0.1, 0.0]))
     with pytest.raises(ValueError, match="matching"):
         KernelBank(np.array([0.5]), np.array([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("means, widths", [
+    ([0.5, np.nan], [0.1, 0.1]),
+    ([0.5, 0.3], [0.1, np.nan]),
+    ([np.inf, 0.3], [0.1, 0.1]),
+    ([0.5, 0.3], [0.1, 1e-170]),  # 2 * width**2 underflows to 0
+    ([0.5, 0.3], [0.1, 1e-160]),  # 2 * width**2 is subnormal, its reciprocal inf
+], ids=["nan-mean", "nan-width", "inf-mean", "underflowing-width", "subnormal-width"])
+def test_bank_rejects_damaged_values(means, widths):
+    with pytest.raises(ValueError, match="finite|2 \\* width"):
+        KernelBank(np.array(means), np.array(widths))
 
 
 class _FakeMatrix:
@@ -215,10 +237,10 @@ def test_exact_match_kernel_increases_with_shared_token():
     s = make_scorer("kernel_pooling", table=t, n_q=4, n_d=6)
     q = embed_sequence(["a", "b"], 4, t)
     before = kernel_features(
-        interaction_matrix(q, embed_sequence(["c", "c"], 6, t)), s.bank
+        InteractionMatrix(dot(q, embed_sequence(["c", "c"], 6, t)), 2), s.bank
     ).data[0]
     after = kernel_features(
-        interaction_matrix(q, embed_sequence(["c", "c", "a"], 6, t)), s.bank
+        InteractionMatrix(dot(q, embed_sequence(["c", "c", "a"], 6, t)), 2), s.bank
     ).data[0]
     assert after > before
 
@@ -385,6 +407,16 @@ def test_load_scorer_dim_mismatch(tmp_path):
     save_scorer(make_scorer("dssm_like", table=t4), tmp_path / "m.ckpt")
     with pytest.raises(ValueError, match="dimension mismatch"):
         load_scorer(tmp_path / "m.ckpt", t5)
+
+
+def test_load_scorer_refuses_nan_kernel_width(tmp_path):
+    t = unit_table(["a", "b"], 4)
+    save_scorer(make_scorer("kernel_pooling", table=t), tmp_path / "m.ckpt")
+    descriptor, tensors = load_checkpoint(tmp_path / "m.ckpt")
+    tensors["kernel_widths"][3] = np.nan
+    save_checkpoint(tmp_path / "m.ckpt", descriptor, tensors)
+    with pytest.raises(ValueError, match="finite"):
+        load_scorer(tmp_path / "m.ckpt", t)
 
 
 def test_save_scorer_rejects_tfidf(corpus_vocab, tmp_path):

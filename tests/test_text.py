@@ -68,14 +68,6 @@ def test_rules_file_rejects_missing_tab(tmp_path):
         load_rules(p)
 
 
-def test_vocabulary_ids_dense_first_seen():
-    vocab = build_vocabulary([["b", "a", "b"], ["c", "a"]])
-    assert vocab.token_ids == {"b": 0, "a": 1, "c": 2}
-    assert len(vocab) == 3
-    assert "a" in vocab and "z" not in vocab
-    assert vocab.id_of("z") is None
-
-
 def test_doc_freq_counts_documents_not_occurrences():
     docs = [["a", "a", "b"], ["a"], ["b", "c"]]
     vocab = build_vocabulary(docs)
