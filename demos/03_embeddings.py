@@ -22,7 +22,8 @@ table = train_skipgram(corpus, dim=16, window=2, negatives=4, epochs=8, seed=3)
 table = unit_normalize(table)
 
 def cos(a, b):
-    return float(table.vectors[table.id_of(a)] @ table.vectors[table.id_of(b)])
+    u, v = table.vectors[table.ids_of([a, b])]
+    return float(u @ v)
 
 print("== cosine similarity after skip-gram ==")
 print(f"  (red, oak)     co-occur:   {cos('red', 'oak'):+.3f}")

@@ -7,12 +7,13 @@ compress each side to a vector first, which makes document vectors
 cacheable.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from prodrank.autodiff import dot
 from prodrank.embeddings import EmbeddingTable, embed_sequence, unit_normalize
 from prodrank.models import (
-    InteractionMatrix,
     default_kernel_bank,
     distributed_encode,
     kernel_features,
@@ -46,13 +47,25 @@ for arch in ("tfidf", "kernel_pooling", "siamese", "dssm_like", "hybrid_local"):
 
 # Kernel pooling's features: each RBF kernel counts soft matches at one
 # similarity level, so an exact-match query token lights up the mu=1 kernel.
-m = InteractionMatrix(dot(embed_sequence(query, 4, table), embed_sequence(docs["sku1"], 8, table)),
-                      len(query))
+# kernel_features reads the query x document similarities and the number
+# of real query rows.
+m = SimpleNamespace(values=dot(embed_sequence(query, 4, table), embed_sequence(docs["sku1"], 8, table)),
+                    n_q_real=len(query))
 phi = kernel_features(m, default_kernel_bank()).data.reshape(-1)
 print("\n== kernel features for (red chair, red oak chair) ==")
 for mu, value in zip(default_kernel_bank().means, phi):
     bar = "#" * max(0, int(value + 25) // 2)
     print(f"  mu {mu:+.1f}: {value:8.3f} {bar}")
+
+# The kernel-pooling scorer scores a whole list of pairs on one tape, in
+# vocabulary space; each entry equals the per-pair score.  A weight on the
+# exact-match kernel alone makes the scores rank by shared tokens.
+kp = make_scorer("kernel_pooling", table=table, n_d=8, seed=2)
+kp.w.data[0, 0] = 0.05
+batch = kp.score_batch([(query, d) for d in docs.values()]).data
+assert np.allclose(batch, [kp.score(query, d) for d in docs.values()], rtol=0, atol=1e-12)
+print("\n== kernel pooling, one batch of 4 pairs ==")
+print("  " + "  ".join(f"{sku}:{v:+.3f}" for sku, v in zip(docs, batch)))
 
 # Distributed models can pre-encode the catalog once and score new
 # queries with dot products.

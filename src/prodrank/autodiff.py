@@ -3,8 +3,9 @@
 The primitive set covers exactly what the scoring architectures need:
 matmul, 1-D convolution over rows, tanh, elementwise add/multiply with
 broadcasting, axis sum, axis max-pooling, exp, guarded log, the matrix
-dot product ``<A, B> = A @ B.T`` and an embedding-row gather.  All data is
-float64; forward evaluation is deterministic.
+dot product ``<A, B> = A @ B.T``, an embedding-row gather, a bank of RBF
+kernels and the products of gathered rows with constant rows.  All data
+is float64; forward evaluation is deterministic.
 
 Each op's gradient closure, which holds the op's inputs, is its tape
 entry.  ``backward()`` on a scalar output walks the nodes latest-created
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
+import math
 import struct
+import zlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -169,7 +171,7 @@ def log(x) -> Tensor:
 
 def reshape(x, shape: tuple) -> Tensor:
     x = as_tensor(x)
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError("reshape", f"cannot reshape {x.data.shape} to {shape}")
     old = x.data.shape
     return _node(x.data.reshape(shape), (x,), lambda g: ((x, g.reshape(old)),))
@@ -285,6 +287,7 @@ def conv1d(x, w, width: int) -> Tensor:
 def gather_rows(table, ids: np.ndarray) -> Tensor:
     """Select rows of a (V, k) table by id; id -1 yields a zero row.
 
+    ``ids`` of any shape give an output of shape ``ids.shape + (k,)``.
     Gradients scatter-add back into the selected rows.
     """
     table = as_tensor(table)
@@ -292,7 +295,7 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
         raise ShapeError("gather_rows", f"need a matrix table, got shape {table.data.shape}")
     ids = np.asarray(ids, dtype=np.int64)
     known = ids >= 0
-    out = np.zeros((ids.shape[0], table.data.shape[1]))
+    out = np.zeros(ids.shape + (table.data.shape[1],))
     out[known] = table.data[ids[known]]
 
     def backward(g):
@@ -301,6 +304,66 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
         return ((table, gt),)
 
     return _node(out, (table,), backward)
+
+
+def kernel_bank(x, means: np.ndarray, widths: np.ndarray) -> Tensor:
+    """RBF kernels of every entry of ``x``: output (K,) + x.shape with
+    ``out[k] = exp(-(x - means[k])^2 / (2 widths[k]^2))``.
+
+    The tape entry keeps only the output; backward recomputes x - means.
+    """
+    x = as_tensor(x)
+    shape = (-1,) + (1,) * x.data.ndim
+    mu = np.asarray(means, dtype=np.float64).reshape(shape)
+    scale = (-1.0 / (2.0 * np.asarray(widths, dtype=np.float64) ** 2)).reshape(shape)
+    out = x.data - mu
+    out *= out
+    out *= scale
+    np.exp(out, out=out)
+
+    def backward(g):
+        # d out_k / dx = out_k * 2 scale_k (x - mu_k), one kernel at a time
+        # so no temporary is as large as the output
+        gx = np.zeros_like(x.data)
+        for k in range(out.shape[0]):
+            gx += g[k] * out[k] * (x.data - mu[k]) * (2.0 * scale[k])
+        return ((x, gx),)
+
+    return _node(out, (x,), backward)
+
+
+def gather_dot(x, index: np.ndarray, w: np.ndarray) -> Tensor:
+    """Products of gathered rows with constant rows: for a (K, n, m) ``x``,
+    nondecreasing row ids ``index`` (R,) into its middle axis and a
+    constant (R, m) array ``w``, the (R, K) output holds
+    ``out[r, k] = x[k, index[r]] . w[r]``.
+
+    Rows with the same id share one matmul in each direction.
+    """
+    x = as_tensor(x)
+    w = np.asarray(w, dtype=np.float64)
+    if x.data.ndim != 3 or w.shape != (len(index), x.data.shape[2]):
+        raise ShapeError("gather_dot",
+                         f"shapes {x.data.shape}, ({len(index)},) and {w.shape} do not pair")
+    runs: list[list[int]] = []  # [id, first row, end row] per run of equal ids
+    for r, a in enumerate(index):
+        if runs and runs[-1][0] == a:
+            runs[-1][2] = r + 1
+        elif runs and runs[-1][0] > a:
+            raise ShapeError("gather_dot", "row ids must be nondecreasing")
+        else:
+            runs.append([a, r, r + 1])
+    out = np.empty((len(index), x.data.shape[0]))
+    for a, lo, hi in runs:
+        out[lo:hi] = w[lo:hi] @ x.data[:, a, :].T
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        for a, lo, hi in runs:
+            gx[:, a, :] = g[lo:hi].T @ w[lo:hi]
+        return ((x, gx),)
+
+    return _node(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -380,62 +443,68 @@ def finite_difference_check(graph: ComputeGraph, eps: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PRNK"
-_VERSION = 1
+_VERSION = 2  # version 1 files, which have no checksum, still load
 
 
 def save_checkpoint(path, descriptor: str, tensors: dict[str, np.ndarray]) -> None:
     """Write named tensors with an architecture descriptor.
 
     Binary layout: magic, format version, descriptor, then per tensor its
-    name, shape and raw little-endian float64 values.
+    name, shape and raw little-endian float64 values, then the CRC32 of
+    every preceding byte.
     """
+    desc = descriptor.encode("utf-8")
+    parts = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(desc)), desc,
+             struct.pack("<I", len(tensors))]
+    for name, array in tensors.items():
+        arr = np.asarray(array, dtype="<f8")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    blob = b"".join(parts)
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        desc = descriptor.encode("utf-8")
-        f.write(struct.pack("<I", len(desc)))
-        f.write(desc)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors.items():
-            arr = np.asarray(array, dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+        f.write(blob)
+        f.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     """Read a checkpoint back; returns (descriptor, name -> array).
 
-    A file cut short, or with bytes after its last tensor, raises ``ValueError``.
+    A file cut short, with bytes after its last tensor or, from version 2
+    on, whose checksum does not match raises ``ValueError``.
     """
     with open(path, "rb") as f:
-        end = os.fstat(f.fileno()).st_size
+        blob = f.read()
+    pos = 0
 
-        def read(n: int) -> bytes:
-            # checked before reading, so a corrupt length never allocates
-            if f.tell() + n > end:
-                raise ValueError(f"{path}: checkpoint is truncated")
-            return f.read(n)
+    def read(n: int) -> bytes:
+        # checked before slicing, so a corrupt length never allocates
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"{path}: checkpoint is truncated")
+        pos += n
+        return blob[pos - n:pos]
 
-        def u32() -> int:
-            return struct.unpack("<I", read(4))[0]
+    def u32() -> int:
+        return struct.unpack("<I", read(4))[0]
 
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version = u32()
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        descriptor = read(u32()).decode("utf-8")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(u32()):
-            name = read(u32()).decode("utf-8")
-            ndim = u32()
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-            tensors[name] = data.astype(np.float64)
-        if f.tell() != end:
-            raise ValueError(f"{path}: {end - f.tell()} bytes after the last tensor")
-        return descriptor, tensors
+    if read(4) != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    version = u32()
+    if version not in (1, _VERSION):
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if version == 2:
+        if zlib.crc32(blob[:-4]) != struct.unpack("<I", blob[-4:])[0]:
+            raise ValueError(f"{path}: checkpoint checksum mismatch")
+        blob = blob[:-4]
+    descriptor = read(u32()).decode("utf-8")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(u32()):
+        name = read(u32()).decode("utf-8")
+        ndim = u32()
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+        data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+        tensors[name] = data.astype(np.float64)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor")
+    return descriptor, tensors

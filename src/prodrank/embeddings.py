@@ -40,9 +40,10 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        """Row index of a token, -1 when unknown."""
-        return self._ids.get(token, -1)
+    def ids_of(self, tokens) -> list[int]:
+        """Row indices of tokens, -1 for each unknown one."""
+        get = self._ids.get
+        return [get(t, -1) for t in tokens]
 
 
 def embed_sequence(
@@ -59,8 +60,8 @@ def embed_sequence(
     if n_positions < 1:
         raise ValueError(f"n_positions must be >= 1, got {n_positions}")
     ids = np.full(n_positions, -1, dtype=np.int64)
-    for j in range(min(len(tokens), n_positions)):
-        ids[j] = table.id_of(tokens[j])
+    n = min(len(tokens), n_positions)
+    ids[:n] = table.ids_of(tokens[:n])
     return gather_rows(table.vectors if param is None else param, ids)
 
 

@@ -9,7 +9,6 @@ from pre-trained to fine-tuned embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -53,6 +52,9 @@ def pairwise_error_rate(
         base_rate = float(baseline)
     rel = 100.0 * rate / base_rate if base_rate > 0 else (0.0 if rate == 0 else float("inf"))
     return ErrorRateReport(errors, len(triples), rate, base_rate, rel)
+
+
+_PAIR_CHUNK = 4096  # token pairs compared per vectorized step
 
 
 @dataclass
@@ -123,27 +125,25 @@ def moved_word_pairs(
         # map index k to the k-th pair in combinations order
         row = np.arange(n)
         starts = row * (2 * n - row - 1) // 2  # index of pair (i, i + 1)
-        i = np.searchsorted(starts, keep, side="right") - 1
-        pairs = zip(i.tolist(), (keep - starts[i] + i + 1).tolist())
+        first = np.searchsorted(starts, keep, side="right") - 1
+        second = keep - starts[first] + first + 1
     else:
-        pairs = combinations(range(n), 2)
+        first, second = np.triu_indices(n, 1)  # combinations order
 
     before = unit_normalize(table_before).vectors
     after = unit_normalize(table_after).vectors
+    tokens = table_before.tokens
     moves: list[PairMove] = []
-    decoupled = coupled = 0
-    for i, j in pairs:
-        cb = float(before[i] @ before[j])
-        ca = float(after[i] @ after[j])
-        b0 = float(centers[np.argmin(np.abs(centers - cb))])
-        b1 = float(centers[np.argmin(np.abs(centers - ca))])
-        if b0 == b1:
-            continue
-        if b1 < b0:
-            decoupled += 1
-        else:
-            coupled += 1
-        moves.append(PairMove(table_before.tokens[i], table_before.tokens[j],
-                              cb, ca, b0, b1))
+    for lo in range(0, first.size, _PAIR_CHUNK):
+        i, j = first[lo:lo + _PAIR_CHUNK], second[lo:lo + _PAIR_CHUNK]
+        # stacked 1 x dim @ dim x 1 products: the same dot as ``u @ v`` per pair
+        cb, ca = (np.matmul(v[i, None, :], v[j, :, None]).reshape(-1) for v in (before, after))
+        # nearest centre; argmin keeps a tie on the lower one
+        b0, b1 = (centers[np.argmin(np.abs(centers - c[:, None]), axis=1)] for c in (cb, ca))
+        moved = np.flatnonzero(b0 != b1)
+        moves += map(PairMove, [tokens[k] for k in i[moved]], [tokens[k] for k in j[moved]],
+                     cb[moved].tolist(), ca[moved].tolist(), b0[moved].tolist(), b1[moved].tolist())
+    decoupled = sum(m.bin_after < m.bin_before for m in moves)
+    coupled = len(moves) - decoupled
     moves.sort(key=lambda m: -abs(m.cos_after - m.cos_before))
     return MovementReport(moves, decoupled, coupled, tuple(float(c) for c in centers))

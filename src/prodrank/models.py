@@ -13,6 +13,7 @@ vectors (cosines once the table is unit-normalized).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
@@ -49,6 +50,11 @@ class KernelBank:
     def __len__(self) -> int:
         return self.means.size
 
+    @functools.cached_property
+    def at_zero(self) -> np.ndarray:
+        """Each kernel's value at similarity 0, where padding and unknown tokens sit."""
+        return np.exp(-self.means**2 / (2.0 * self.widths**2))
+
 
 def default_kernel_bank() -> KernelBank:
     """Eleven kernels: one near-exact-match at 1.0 plus ten soft bins."""
@@ -57,23 +63,17 @@ def default_kernel_bank() -> KernelBank:
     return KernelBank(np.array(means), np.array(widths))
 
 
-@dataclass
-class InteractionMatrix:
-    """Query-position x document-position similarities, with the count of
-    real (non-padding) query rows."""
-
-    values: Tensor
-    n_q_real: int
-
-
-def kernel_features(m: InteractionMatrix, bank: KernelBank) -> Tensor:
-    """Soft term-frequency feature vector, one entry per kernel.
+def kernel_features(m, bank: KernelBank) -> Tensor:
+    """Soft term-frequency feature vector, one entry per kernel, of an
+    interaction matrix ``m``: query positions x document positions in
+    ``m.values``, the count of real query rows in ``m.n_q_real``.
 
     Each kernel k pools every interaction row i into
     ``log(max(sum_j exp(-(M_ij - mu_k)^2 / (2 sigma_k^2)), 1e-10))`` and
     the features sum those row scores over the real query rows only.
     Padding document columns are left in the row sums; they add a
-    parameter-independent constant per kernel.
+    parameter-independent constant per kernel.  This is the per-pair
+    reference for ``KernelPoolingScorer.score_batch``.
     """
     n_q, n_d = m.values.shape
     mask = np.zeros(n_q)
@@ -89,7 +89,9 @@ class Scorer:
     """Uniform contract: score a (query tokens, document tokens) pair.
 
     ``score_graph`` returns the score as a differentiable scalar tensor;
-    ``score`` is the plain-float convenience wrapper.
+    ``score`` is the plain-float convenience wrapper.  A scorer that also
+    defines ``score_batch(pairs)``, a (B,) tensor for B pairs, is trained
+    and evaluated through it a chunk of triples at a time.
     """
 
     architecture: str = "?"
@@ -213,12 +215,63 @@ class KernelPoolingScorer(_EmbeddingScorer):
         return len(self.bank)
 
     def score_graph(self, q_tokens, d_tokens) -> Tensor:
-        q = self._embed(q_tokens, self.n_q)
-        d = self._embed(d_tokens, self.n_d)
-        m = InteractionMatrix(ad.dot(q, d), min(len(q_tokens), self.n_q))
-        phi = kernel_features(m, self.bank)
-        h = self._mlp_layer(self.w, self.b, ad.reshape(phi, (len(self.bank), 1)), final=self.linear)
-        return ad.reshape(h, ())
+        return ad.reshape(self._scores([(q_tokens, d_tokens)]), ())
+
+    def score_batch(self, pairs) -> Tensor:
+        """Scores of (query tokens, document tokens) pairs as one (B,) tensor."""
+        return ad.reshape(self._scores(pairs), (len(pairs),))
+
+    def _scores(self, pairs) -> Tensor:
+        """The (B, 1) scores of ``pairs``.
+
+        Kernel pooling regrouped over the vocabulary.  Padding and
+        unknown tokens share one zero vector, row V of the table extended
+        by one row; C_db counts token b among document d's first N_d
+        positions, padding at V, and S_ab = e_a . e_b.  Then
+        phi_k(q, d) = sum over a in q[:N_q] of log sum_b C_db K_k(S_ab).
+        Only the (query token, document) rows the batch needs are built,
+        and the zero row's kernel values are the constants K_k(0), so
+        padding is counted, never computed.
+        """
+        vocab = len(self.table)
+        ids_of = self.table.ids_of  # -1 for an unknown token
+        docs: dict[tuple, int] = {}
+        doc_ids: list[int] = []   # token ids of every distinct document, concatenated
+        doc_of: list[int] = []    # the document of each of those ids
+        padding: list[int] = []   # padding positions of each document
+        queries: list[list[tuple[int, int]]] = []  # per pair: (token id, document) per position
+        for q, d in pairs:
+            key = tuple(d[:self.n_d])
+            j = docs.get(key)
+            if j is None:
+                j = docs[key] = len(docs)
+                doc_ids += ids_of(key)
+                doc_of += [j] * len(key)
+                padding.append(self.n_d - len(key))
+            queries.append([(a, j) for a in ids_of(q[:self.n_q])])
+        # C, one row per document; an unknown token's id, -1, counts at column V
+        counts = np.zeros((len(docs), vocab + 1))
+        np.add.at(counts, (doc_of, doc_ids), 1.0)
+        counts[:, vocab] += padding
+        # one row per distinct (query token, document), grouped by token
+        keys = sorted({k for query in queries for k in query})
+        row_of = {k: r for r, k in enumerate(keys)}
+        tokens = sorted({a for a, _ in keys})
+        token_at = {a: i for i, a in enumerate(tokens)}
+        n_pos = max(map(len, queries), default=0)
+        pos = np.array([[row_of[k] for k in query] + [-1] * (n_pos - len(query))
+                        for query in queries], dtype=np.int64).reshape(len(pairs), n_pos)
+
+        bank = self.bank
+        c = counts[[j for _, j in keys]]
+        # S against the V table rows; gather_rows gives the zero vector for id -1
+        kernels = ad.kernel_bank(ad.dot(ad.gather_rows(self.embedding, tokens), self.embedding),
+                                 bank.means, bank.widths)
+        soft_tf = ad.add(ad.gather_dot(kernels, [token_at[a] for a, _ in keys], c[:, :vocab]),
+                         c[:, vocab:] * bank.at_zero)
+        phi = ad.asum(ad.gather_rows(ad.log(soft_tf), pos), axis=1)  # (B, K)
+        h = ad.add(ad.dot(phi, self.w), self.b)
+        return h if self.linear else ad.tanh(h)
 
 
 class SiameseScorer(_EmbeddingScorer):

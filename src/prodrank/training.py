@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, dot
 from .extraction import TrainingTriple
 from .models import Scorer
 from .text import Tokens, normalize
 
 MARGIN = 1.0  # fixed hinge margin
+EVAL_CHUNK = 128  # triples per score_batch call when evaluating
 
 
 def margin_loss(f_rel: float, f_irrel: float, margin: float = MARGIN) -> float:
@@ -127,6 +128,41 @@ def _check_skus(triples: list[TrainingTriple], doc_tokens: dict[str, Tokens]) ->
         raise ValueError(f"doc_tokens missing {len(missing)} skus, e.g. {sorted(missing)[:3]}")
 
 
+def _scored_chunks(scorer: Scorer, triples: list[TrainingTriple],
+                   doc_tokens: dict[str, Tokens], q_cache: dict[str, Tokens],
+                   size: int, graph: bool):
+    """Score ``triples`` chunk by chunk.
+
+    Yields ``(scores, backward)`` per chunk: the chunk's scores as floats,
+    relevant then irrelevant, triple by triple, and, when ``graph``,
+    ``backward(seed)``, which backpropagates one seed entry per score.
+    A scorer with ``score_batch`` scores up to ``size`` triples on one
+    tape; any other scores one triple at a time, so at most one triple's
+    per-pair graphs are alive.
+    """
+    batched = hasattr(scorer, "score_batch")
+    step = size if batched else 1
+    for lo in range(0, len(triples), step):
+        pairs = [(q_cache[t.query], doc_tokens[sku])
+                 for t in triples[lo:lo + step] for sku in (t.rel_sku, t.irrel_sku)]
+        if batched:
+            out = scorer.score_batch(pairs)
+            yield out.data.tolist(), lambda seed, out=out: dot(out, Tensor(seed)).backward()
+        elif graph:
+            outs = [scorer.score_graph(q, d) for q, d in pairs]
+
+            def backward(seed, outs=outs):
+                # irrelevant then relevant: the order per-pair gradients have
+                # always been summed in, so these models train to the same bytes
+                for f, s in reversed(list(zip(outs, seed))):
+                    if s:
+                        f.backward(s)
+
+            yield [f.data.item() for f in outs], backward
+        else:
+            yield [scorer.score(q, d) for q, d in pairs], None
+
+
 def evaluate_triples(
     scorer: Scorer,
     triples: list[TrainingTriple],
@@ -142,13 +178,21 @@ def evaluate_triples(
         q_cache = _token_cache(triples)
     loss = 0.0
     errors = 0
-    for t in triples:
-        q = q_cache[t.query]
-        f_rel = scorer.score(q, doc_tokens[t.rel_sku])
-        f_irr = scorer.score(q, doc_tokens[t.irrel_sku])
-        loss += margin_loss(f_rel, f_irr)
-        # not-greater rather than less-equal: NaN scores count as errors too
-        errors += not (f_rel > f_irr)
+    # parameters off the tape while scoring: no gradient is wanted, and each
+    # intermediate array is freed once the next op has read it
+    on_tape = [p for p in scorer.parameters() if p.requires_grad]
+    for p in on_tape:
+        p.requires_grad = False
+    try:
+        for scores, _ in _scored_chunks(scorer, triples, doc_tokens, q_cache,
+                                        EVAL_CHUNK, graph=False):
+            for f_rel, f_irr in zip(scores[::2], scores[1::2]):
+                loss += margin_loss(f_rel, f_irr)
+                # not-greater rather than less-equal: NaN scores count as errors too
+                errors += not (f_rel > f_irr)
+    finally:
+        for p in on_tape:
+            p.requires_grad = True
     return loss / len(triples), errors / len(triples)
 
 
@@ -205,21 +249,21 @@ def _fit(scorer, train_triples, val_triples, doc_tokens, config, log) -> TrainRe
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
+            batch = [train_triples[k] for k in order[lo:lo + config.batch_size]]
             inv = 1.0 / len(batch)
             optimizer.zero_grad()
             batch_loss = 0.0
-            for k in batch:
-                t = train_triples[k]
-                q = q_train[t.query]
-                f_rel = scorer.score_graph(q, doc_tokens[t.rel_sku])
-                f_irr = scorer.score_graph(q, doc_tokens[t.irrel_sku])
-                loss = margin_loss(f_rel.data.item(), f_irr.data.item())
-                if loss > 0.0:
-                    # d(loss)/d(f_irr) = 1, d(loss)/d(f_rel) = -1, / batch
-                    f_irr.backward(inv)
-                    f_rel.backward(-inv)
-                batch_loss += loss
+            for scores, backward in _scored_chunks(scorer, batch, doc_tokens, q_train,
+                                                   len(batch), graph=True):
+                seed = np.zeros(len(scores))
+                for i in range(0, len(scores), 2):
+                    loss = margin_loss(scores[i], scores[i + 1])
+                    if loss > 0.0:
+                        # d(loss)/d(f_rel) = -1, d(loss)/d(f_irr) = 1, / batch
+                        seed[i:i + 2] = (-inv, inv)
+                    batch_loss += loss
+                if seed.any():
+                    backward(seed)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, "

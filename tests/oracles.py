@@ -164,3 +164,26 @@ def enumerate_micro_sessions(max_queries=3, max_impressions=4):
             for b in chain:
                 for c in chain:
                     yield stamp([a, b, c])
+
+
+def moved_word_pairs_loop(before, after, centers, pairs):
+    """Embedding movement one pair at a time: each pair's cosine before
+    and after, each snapped to the nearest centre (the lower one on a
+    tie); returns ``(token index a, token index b, cos before, cos after,
+    centre before, centre after)`` for the pairs whose centre changed, in
+    ``pairs`` order.  ``before`` and ``after`` hold unit rows."""
+    centers = sorted(centers)
+    out = []
+    for i, j in pairs:
+        cb = float(before[i] @ before[j])
+        ca = float(after[i] @ after[j])
+        snapped = []
+        for c in (cb, ca):
+            best = centers[0]
+            for m in centers[1:]:
+                if abs(m - c) < abs(best - c):
+                    best = m
+            snapped.append(best)
+        if snapped[0] != snapped[1]:
+            out.append((i, j, cb, ca, snapped[0], snapped[1]))
+    return out

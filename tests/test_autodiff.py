@@ -16,7 +16,9 @@ from prodrank.autodiff import (
     dot,
     exp,
     finite_difference_check,
+    gather_dot,
     gather_rows,
+    kernel_bank,
     load_checkpoint,
     log,
     matmul,
@@ -330,6 +332,68 @@ def test_gradient_descent_decreases_loss(rng):
         w.data = w.data - 1e-6 * g
         after = graph.forward()
         assert after <= before
+
+
+# ---------------------------------------------------------------------------
+# Kernel bank and gathered row products
+# ---------------------------------------------------------------------------
+
+MEANS = np.array([1.0, 0.5, -0.3])
+WIDTHS = np.array([1e-3, 0.2, 0.4])
+
+
+def test_kernel_bank_matches_formula(rng):
+    x = rng.uniform(-1.0, 1.0, size=(2, 5))
+    out = kernel_bank(x, MEANS, WIDTHS).data
+    assert out.shape == (3, 2, 5)
+    for k in range(3):
+        assert np.array_equal(out[k], np.exp((x - MEANS[k]) ** 2 * (-1.0 / (2.0 * WIDTHS[k] ** 2))))
+
+
+def test_kernel_bank_finite_difference(rng):
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)), requires_grad=True)
+    r = rng.normal(size=(2, 3, 4))
+    # the 1e-3 kernel is too narrow for central differences at eps 1e-5
+    graph = ComputeGraph(lambda: asum(mul(kernel_bank(x, MEANS[1:], WIDTHS[1:]), r)), [x])
+    assert finite_difference_check(graph) <= 1e-6
+
+
+def test_gather_dot_matches_loop(rng):
+    x = rng.normal(size=(3, 4, 5))
+    index = np.array([0, 0, 2, 3, 3, 3])
+    w = rng.normal(size=(6, 5))
+    out = gather_dot(x, index, w).data
+    assert out.shape == (6, 3)
+    for r in range(6):
+        for k in range(3):
+            assert out[r, k] == pytest.approx(sum(x[k, index[r], m] * w[r, m] for m in range(5)),
+                                              abs=1e-12)
+
+
+def test_gather_dot_finite_difference(rng):
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w = rng.normal(size=(5, 3))
+    r = rng.normal(size=(5, 2))
+    graph = ComputeGraph(lambda: asum(mul(gather_dot(x, [1, 1, 2, 2, 2], w), r)), [x])
+    assert finite_difference_check(graph) <= 1e-6
+    # rows never gathered get no gradient
+    assert np.all(graph.gradients()[0][:, [0, 3]] == 0.0)
+
+
+def test_gather_dot_rejects_unsorted_ids(rng):
+    with pytest.raises(ShapeError, match="nondecreasing"):
+        gather_dot(rng.normal(size=(2, 3, 4)), [1, 0], rng.normal(size=(2, 4)))
+    with pytest.raises(ShapeError, match="do not pair"):
+        gather_dot(rng.normal(size=(2, 3, 4)), [0, 1], rng.normal(size=(2, 5)))
+
+
+def test_gather_rows_nd_ids(rng):
+    table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    out = gather_rows(table, np.array([[2, -1], [2, 0]]))
+    assert out.data.shape == (2, 2, 3)
+    assert np.array_equal(out.data[0, 0], table.data[2]) and np.all(out.data[0, 1] == 0.0)
+    asum(out).backward()
+    assert np.array_equal(table.grad.sum(axis=1), np.array([1.0, 0.0, 2.0, 0.0]) * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prodrank.autodiff import load_checkpoint
+from prodrank.autodiff import load_checkpoint, save_checkpoint
 from prodrank.catalog import Sku, write_catalog
 from prodrank.cli import main
 from prodrank.config import RunConfig
@@ -418,3 +418,19 @@ def test_damaged_artifact_exits_zero_or_one(intact, case):
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_any_flipped_checkpoint_byte_exits_one(intact, tmp_path):
+    # the compat checkpoint predates the checksum; saved again it is version 2
+    paths = {name: tmp_path / name for name in (*READERS, "out")}
+    for name, data in intact.items():
+        paths[name].write_bytes(data)
+    save_checkpoint(paths["checkpoint"], *load_checkpoint(COMPAT / "kernel_pooling.ckpt"))
+    blob = paths["checkpoint"].read_bytes()
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    argv = _stage_argv("eval", {k: str(v) for k, v in paths.items()})
+    assert _run_quietly(argv) == (0, "")
+    for i in range(len(blob)):
+        paths["checkpoint"].write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+        code, err = _run_quietly(argv)
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (i, err)

@@ -26,9 +26,8 @@ def table():
 def test_table_lookup(table):
     assert table.dim == 2
     assert len(table) == 3
-    assert table.id_of("oak") == 1
-    assert np.array_equal(table.vectors[table.id_of("oak")], [0.0, 1.0])
-    assert table.id_of("pine") == -1
+    assert table.ids_of(["oak", "pine", "oak"]) == [1, -1, 1]
+    assert np.array_equal(table.vectors[table.ids_of(["oak"])[0]], [0.0, 1.0])
 
 
 def test_table_shape_mismatch_rejected():
@@ -180,7 +179,7 @@ def test_skipgram_cooccurrence_ordering():
     # x and y always together, z always alone -> cos(x,y) > cos(x,z)
     corpus = [["x", "y"]] * 80 + [["z", "w"]] * 80
     t = unit_normalize(train_skipgram(corpus, dim=8, epochs=10, seed=3))
-    x, y, z = (t.vectors[t.id_of(token)] for token in "xyz")
+    x, y, z = t.vectors[t.ids_of(["x", "y", "z"])]
     cos_xy = float(x @ y)
     cos_xz = float(x @ z)
     assert cos_xy > cos_xz

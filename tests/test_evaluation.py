@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prodrank.autodiff import Tensor
-from prodrank.embeddings import EmbeddingTable
+from prodrank.embeddings import EmbeddingTable, unit_normalize
 from prodrank.evaluation import (
     ErrorRateReport,
     MovementReport,
@@ -17,6 +17,8 @@ from prodrank.evaluation import (
 )
 from prodrank.extraction import TrainingTriple
 from prodrank.models import Scorer, default_kernel_bank
+
+from oracles import moved_word_pairs_loop
 
 
 class _ScriptScorer(Scorer):
@@ -253,3 +255,26 @@ def test_moves_sorted_by_shift_magnitude(rng):
     shifts = [abs(m.cos_after - m.cos_before) for m in rep.moves]
     assert shifts == sorted(shifts, reverse=True)
     assert rep.decoupled + rep.coupled == len(rep.moves)
+
+
+@pytest.mark.parametrize("n, max_pairs", [(100, 200000), (120, 5000)],
+                         ids=["all-pairs", "sampled"])
+def test_movement_matches_pair_loop(rng, n, max_pairs):
+    # both cases span more than one vectorized chunk of pairs
+    tokens = [f"t{i}" for i in range(n)]
+    b = rng.standard_normal((n, 8))
+    a = b + 0.6 * rng.standard_normal((n, 8))
+    tb, ta = _table(tokens, b), _table(tokens, a)
+    rep = moved_word_pairs(tb, ta, max_pairs=max_pairs, seed=3)
+    pairs = list(combinations(range(n), 2))
+    if len(pairs) > max_pairs:
+        keep = np.sort(np.random.default_rng(3).choice(len(pairs), size=max_pairs, replace=False))
+        pairs = [pairs[k] for k in keep]
+    want = moved_word_pairs_loop(unit_normalize(tb).vectors, unit_normalize(ta).vectors,
+                                 default_kernel_bank().means, pairs)
+    want.sort(key=lambda m: -abs(m[3] - m[2]))
+    assert len(want) > 100
+    assert [(m.token_a, m.token_b, m.cos_before, m.cos_after, m.bin_before, m.bin_after)
+            for m in rep.moves] == [(tokens[i], tokens[j], *rest) for i, j, *rest in want]
+    assert rep.decoupled == sum(m[5] < m[4] for m in want)
+    assert rep.coupled == sum(m[5] > m[4] for m in want)

@@ -3,21 +3,27 @@ distributed encoders, hybrid head, persistence."""
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodrank.autodiff import (
     LOG_FLOOR,
     ComputeGraph,
+    Tensor,
+    add,
     dot,
     finite_difference_check,
     load_checkpoint,
+    matmul,
+    reshape,
     save_checkpoint,
+    tanh,
 )
 from prodrank.embeddings import EmbeddingTable, embed_sequence, load_vectors, unit_normalize
 from prodrank.models import (
-    InteractionMatrix,
     KernelBank,
     TfIdfScorer,
     default_kernel_bank,
@@ -68,8 +74,7 @@ def test_interaction_padding_rows_zero(rng):
     s = make_scorer("kernel_pooling", table=t, n_q=4, n_d=6)
     s.w.data = rng.normal(size=s.w.data.shape)
     for q in (["a", "b"], ["a", "b", "c", "a", "b", "c"]):
-        m = InteractionMatrix(dot(embed_sequence(q, 4, t), embed_sequence(["c", "a"], 6, t)),
-                              min(len(q), 4))
+        m = _FakeMatrix(interaction(q, ["c", "a"], t, 4, 6), min(len(q), 4))
         want = np.tanh(s.w.data @ kernel_features(m, s.bank).data + s.b.data).item()
         assert s.score(q, ["c", "a"]) == pytest.approx(want, abs=1e-15)
 
@@ -235,14 +240,80 @@ def test_kernel_scorer_linear_flag():
 def test_exact_match_kernel_increases_with_shared_token():
     t = unit_table(["a", "b", "c"], 6, seed=4)
     s = make_scorer("kernel_pooling", table=t, n_q=4, n_d=6)
-    q = embed_sequence(["a", "b"], 4, t)
     before = kernel_features(
-        InteractionMatrix(dot(q, embed_sequence(["c", "c"], 6, t)), 2), s.bank
+        _FakeMatrix(interaction(["a", "b"], ["c", "c"], t, 4, 6), 2), s.bank
     ).data[0]
     after = kernel_features(
-        InteractionMatrix(dot(q, embed_sequence(["c", "c", "a"], 6, t)), 2), s.bank
+        _FakeMatrix(interaction(["a", "b"], ["c", "c", "a"], t, 4, 6), 2), s.bank
     ).data[0]
     assert after > before
+
+
+# ---------------------------------------------------------------------------
+# Kernel pooling in vocabulary space: score_batch against the per-pair form
+# ---------------------------------------------------------------------------
+
+BATCH_VOCAB = [f"t{i}" for i in range(8)]
+# two tokens outside the table: their vectors are zero, like padding
+BATCH_TOKENS = st.sampled_from(BATCH_VOCAB + ["unk1", "unk2"])
+
+
+def per_pair_score(s, q, d):
+    """The per-pair tape: the interaction matrix of the padded query and
+    document rows, ``kernel_features`` over its real query rows, the head."""
+    m = SimpleNamespace(values=dot(embed_sequence(q, s.n_q, s.table, s.embedding),
+                                   embed_sequence(d, s.n_d, s.table, s.embedding)),
+                        n_q_real=min(len(q), s.n_q))
+    h = add(matmul(s.w, reshape(kernel_features(m, s.bank), (len(s.bank), 1))), s.b)
+    return reshape(h if s.linear else tanh(h), ())
+
+
+def _grads(params):
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(st.lists(BATCH_TOKENS, max_size=6),   # N_q is 4
+                                st.lists(BATCH_TOKENS, max_size=9)),  # N_d is 6
+                      min_size=1, max_size=6),
+       repeats=st.integers(0, 3), linear=st.booleans(), frozen=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_score_batch_matches_per_pair_reference(pairs, repeats, linear, frozen, seed):
+    rng = np.random.default_rng(seed)
+    s = make_scorer("kernel_pooling", table=unit_table(BATCH_VOCAB, 5, seed=3),
+                    n_q=4, n_d=6, linear=linear)
+    for p in s.parameters():
+        p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
+    s.embedding.requires_grad = not frozen
+    pairs = pairs + pairs[:repeats]
+    weights = rng.normal(size=len(pairs))
+    batch = s.score_batch(pairs)
+    dot(batch, Tensor(weights)).backward()
+    assert (s.embedding.grad is None) is frozen
+    got = _grads(s.parameters())
+    want_scores = []
+    for (q, d), wt in zip(pairs, weights):
+        ref = per_pair_score(s, q, d)
+        ref.backward(wt)
+        want_scores.append(ref.data.item())
+    want = _grads(s.parameters())
+    assert batch.data.shape == (len(pairs),)
+    assert np.allclose(batch.data, want_scores, rtol=1e-10, atol=1e-10)
+    for p, g, w in zip(s.parameters(), got, want):
+        assert np.allclose(g, w, rtol=1e-10, atol=1e-10), p.name
+
+
+def test_score_graph_is_the_one_pair_batch():
+    s = make_scorer("kernel_pooling", table=unit_table(BATCH_VOCAB, 5, seed=3), n_q=4, n_d=6)
+    s.w.data[:] = np.linspace(-1.0, 1.0, len(s.bank))
+    pairs = [(["t1", "t2"], ["t2", "t5", "t1"]), ([], ["t3"]), (["unk1"], [])]
+    batch = s.score_batch(pairs).data
+    for (q, d), b in zip(pairs, batch):
+        one = s.score_graph(q, d)
+        assert one.data.shape == () and one.data.item() == pytest.approx(b, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
