@@ -224,16 +224,17 @@ class KernelPoolingScorer(_EmbeddingScorer):
     def _scores(self, pairs) -> Tensor:
         """The (B, 1) scores of ``pairs``.
 
-        Kernel pooling regrouped over the vocabulary.  Padding and
-        unknown tokens share one zero vector, row V of the table extended
-        by one row; C_db counts token b among document d's first N_d
-        positions, padding at V, and S_ab = e_a . e_b.  Then
+        Kernel pooling regrouped over the batch's document vocabulary.
+        Columns are the distinct known token ids of the batch's documents
+        plus one last column where padding and unknown tokens, which share
+        the zero vector, are counted.  C_db counts column b among document
+        d's first N_d positions and S_ab = e_a . e_b, so
         phi_k(q, d) = sum over a in q[:N_q] of log sum_b C_db K_k(S_ab).
         Only the (query token, document) rows the batch needs are built,
-        and the zero row's kernel values are the constants K_k(0), so
-        padding is counted, never computed.
+        and the last column's kernel values are the constants K_k(0), so
+        padding is counted, never computed.  One pair thus costs at most
+        K N_q N_d kernel values, however large the table.
         """
-        vocab = len(self.table)
         ids_of = self.table.ids_of  # -1 for an unknown token
         docs: dict[tuple, int] = {}
         doc_ids: list[int] = []   # token ids of every distinct document, concatenated
@@ -249,10 +250,13 @@ class KernelPoolingScorer(_EmbeddingScorer):
                 doc_of += [j] * len(key)
                 padding.append(self.n_d - len(key))
             queries.append([(a, j) for a in ids_of(q[:self.n_q])])
-        # C, one row per document; an unknown token's id, -1, counts at column V
-        counts = np.zeros((len(docs), vocab + 1))
-        np.add.at(counts, (doc_of, doc_ids), 1.0)
-        counts[:, vocab] += padding
+        # C, one row per document; an unknown token's column, -1, is the last one
+        doc_ids = np.array(doc_ids, dtype=np.int64)
+        cols = np.unique(doc_ids[doc_ids >= 0])
+        col = np.where(doc_ids >= 0, np.searchsorted(cols, doc_ids), -1)
+        counts = np.zeros((len(docs), len(cols) + 1))
+        np.add.at(counts, (doc_of, col), 1.0)
+        counts[:, -1] += padding
         # one row per distinct (query token, document), grouped by token
         keys = sorted({k for query in queries for k in query})
         row_of = {k: r for r, k in enumerate(keys)}
@@ -264,11 +268,11 @@ class KernelPoolingScorer(_EmbeddingScorer):
 
         bank = self.bank
         c = counts[[j for _, j in keys]]
-        # S against the V table rows; gather_rows gives the zero vector for id -1
-        kernels = ad.kernel_bank(ad.dot(ad.gather_rows(self.embedding, tokens), self.embedding),
-                                 bank.means, bank.widths)
-        soft_tf = ad.add(ad.gather_dot(kernels, [token_at[a] for a, _ in keys], c[:, :vocab]),
-                         c[:, vocab:] * bank.at_zero)
+        # gather_rows gives the zero vector for an unknown query token's id, -1
+        s = ad.dot(ad.gather_rows(self.embedding, tokens), ad.gather_rows(self.embedding, cols))
+        soft_tf = ad.add(ad.gather_dot(ad.kernel_bank(s, bank.means, bank.widths),
+                                       [token_at[a] for a, _ in keys], c[:, :-1]),
+                         c[:, -1:] * bank.at_zero)
         phi = ad.asum(ad.gather_rows(ad.log(soft_tf), pos), axis=1)  # (B, K)
         h = ad.add(ad.dot(phi, self.w), self.b)
         return h if self.linear else ad.tanh(h)

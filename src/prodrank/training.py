@@ -129,16 +129,15 @@ def _check_skus(triples: list[TrainingTriple], doc_tokens: dict[str, Tokens]) ->
 
 
 def _scored_chunks(scorer: Scorer, triples: list[TrainingTriple],
-                   doc_tokens: dict[str, Tokens], q_cache: dict[str, Tokens],
-                   size: int, graph: bool):
+                   doc_tokens: dict[str, Tokens], q_cache: dict[str, Tokens], size: int):
     """Score ``triples`` chunk by chunk.
 
     Yields ``(scores, backward)`` per chunk: the chunk's scores as floats,
-    relevant then irrelevant, triple by triple, and, when ``graph``,
-    ``backward(seed)``, which backpropagates one seed entry per score.
-    A scorer with ``score_batch`` scores up to ``size`` triples on one
-    tape; any other scores one triple at a time, so at most one triple's
-    per-pair graphs are alive.
+    relevant then irrelevant, triple by triple, and ``backward(seed)``,
+    which backpropagates one seed entry per score.  A scorer with
+    ``score_batch`` scores up to ``size`` triples on one tape; any other
+    scores one triple at a time, so at most one triple's per-pair graphs
+    are alive.
     """
     batched = hasattr(scorer, "score_batch")
     step = size if batched else 1
@@ -148,7 +147,7 @@ def _scored_chunks(scorer: Scorer, triples: list[TrainingTriple],
         if batched:
             out = scorer.score_batch(pairs)
             yield out.data.tolist(), lambda seed, out=out: dot(out, Tensor(seed)).backward()
-        elif graph:
+        else:
             outs = [scorer.score_graph(q, d) for q, d in pairs]
 
             def backward(seed, outs=outs):
@@ -159,8 +158,6 @@ def _scored_chunks(scorer: Scorer, triples: list[TrainingTriple],
                         f.backward(s)
 
             yield [f.data.item() for f in outs], backward
-        else:
-            yield [scorer.score(q, d) for q, d in pairs], None
 
 
 def evaluate_triples(
@@ -184,8 +181,7 @@ def evaluate_triples(
     for p in on_tape:
         p.requires_grad = False
     try:
-        for scores, _ in _scored_chunks(scorer, triples, doc_tokens, q_cache,
-                                        EVAL_CHUNK, graph=False):
+        for scores, _ in _scored_chunks(scorer, triples, doc_tokens, q_cache, EVAL_CHUNK):
             for f_rel, f_irr in zip(scores[::2], scores[1::2]):
                 loss += margin_loss(f_rel, f_irr)
                 # not-greater rather than less-equal: NaN scores count as errors too
@@ -253,8 +249,7 @@ def _fit(scorer, train_triples, val_triples, doc_tokens, config, log) -> TrainRe
             inv = 1.0 / len(batch)
             optimizer.zero_grad()
             batch_loss = 0.0
-            for scores, backward in _scored_chunks(scorer, batch, doc_tokens, q_train,
-                                                   len(batch), graph=True):
+            for scores, backward in _scored_chunks(scorer, batch, doc_tokens, q_train, len(batch)):
                 seed = np.zeros(len(scores))
                 for i in range(0, len(scores), 2):
                     loss = margin_loss(scores[i], scores[i + 1])

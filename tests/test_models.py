@@ -2,6 +2,7 @@
 distributed encoders, hybrid head, persistence."""
 
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -314,6 +315,22 @@ def test_score_graph_is_the_one_pair_batch():
     for (q, d), b in zip(pairs, batch):
         one = s.score_graph(q, d)
         assert one.data.shape == () and one.data.item() == pytest.approx(b, abs=1e-12)
+
+
+def test_one_pair_memory_does_not_grow_with_the_table():
+    """One pair's kernel values span its own document's tokens, not the
+    table: 10 query tokens against every row of a 20,000-token table
+    would hold 11 x 10 x 20,000 floats, 17.6 MB."""
+    vocab = [f"w{i}" for i in range(20_000)]
+    s = make_scorer("kernel_pooling", table=unit_table(vocab, 4, seed=3), n_q=10, n_d=64)
+    q, d = vocab[:10], vocab[::400]
+    tracemalloc.start()
+    try:
+        s.score(q, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
