@@ -236,10 +236,10 @@ class KernelPoolingScorer(_EmbeddingScorer):
         K N_q N_d kernel values, however large the table.
         """
         ids_of = self.table.ids_of  # -1 for an unknown token
+        vocab = len(self.table)
         docs: dict[tuple, int] = {}
         doc_ids: list[int] = []   # token ids of every distinct document, concatenated
-        doc_of: list[int] = []    # the document of each of those ids
-        padding: list[int] = []   # padding positions of each document
+        doc_len: list[int] = []   # the number of those ids per document
         queries: list[list[tuple[int, int]]] = []  # per pair: (token id, document) per position
         for q, d in pairs:
             key = tuple(d[:self.n_d])
@@ -247,16 +247,18 @@ class KernelPoolingScorer(_EmbeddingScorer):
             if j is None:
                 j = docs[key] = len(docs)
                 doc_ids += ids_of(key)
-                doc_of += [j] * len(key)
-                padding.append(self.n_d - len(key))
+                doc_len.append(len(key))
             queries.append([(a, j) for a in ids_of(q[:self.n_q])])
-        # C, one row per document; an unknown token's column, -1, is the last one
-        doc_ids = np.array(doc_ids, dtype=np.int64)
-        cols = np.unique(doc_ids[doc_ids >= 0])
-        col = np.where(doc_ids >= 0, np.searchsorted(cols, doc_ids), -1)
-        counts = np.zeros((len(docs), len(cols) + 1))
-        np.add.at(counts, (doc_of, col), 1.0)
-        counts[:, -1] += padding
+        # C, one row per document; unknown tokens and padding count at id V,
+        # appended once so that it is always the last column
+        ids = np.array(doc_ids + [vocab], dtype=np.int64)
+        ids[ids < 0] = vocab
+        cols, col = np.unique(ids, return_inverse=True)
+        n_cols = len(cols)
+        flat = np.repeat(np.arange(len(docs)) * n_cols, doc_len) + col[:-1]
+        counts = np.bincount(flat, minlength=len(docs) * n_cols).reshape(len(docs), n_cols)
+        counts = counts.astype(np.float64)
+        counts[:, -1] += self.n_d - np.array(doc_len, dtype=np.int64)
         # one row per distinct (query token, document), grouped by token
         keys = sorted({k for query in queries for k in query})
         row_of = {k: r for r, k in enumerate(keys)}
@@ -269,7 +271,8 @@ class KernelPoolingScorer(_EmbeddingScorer):
         bank = self.bank
         c = counts[[j for _, j in keys]]
         # gather_rows gives the zero vector for an unknown query token's id, -1
-        s = ad.dot(ad.gather_rows(self.embedding, tokens), ad.gather_rows(self.embedding, cols))
+        s = ad.dot(ad.gather_rows(self.embedding, tokens),
+                   ad.gather_rows(self.embedding, cols[:-1]))
         soft_tf = ad.add(ad.gather_dot(ad.kernel_bank(s, bank.means, bank.widths),
                                        [token_at[a] for a, _ in keys], c[:, :-1]),
                          c[:, -1:] * bank.at_zero)
